@@ -199,7 +199,6 @@ def _record_batch(scenario: Scenario, results: dict) -> None:
         "delivered": fp["stats"].delivered,
         "dropped": fp["stats"].dropped,
         "identical": True,
-        "jit_state": batch.jit_state,
     }
     results["batch_telemetry"] = _telemetry_pass(
         tape_sc, max(tape_sc.horizon // 10, 1000),

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import deque
 from pathlib import Path
 from typing import Any
@@ -63,6 +62,7 @@ from repro.core.sources import (
 )
 from repro.core.switch import PipelinedSwitch, PipelinedSwitchConfig
 from repro.drc.sanitizer import Sanitizer, SanitizerError
+from repro.fileio import write_atomic
 from repro.sim.packet import Packet, Word, packet_id_state, set_packet_id_state
 from repro.sim.stats import Counter, Histogram, SwitchStats
 from repro.telemetry import (
@@ -784,7 +784,6 @@ def _snap_batch(sw: Any) -> dict:
         )
     body = {
         "batch_cycles": sw.batch_cycles,
-        "jit": sw.jit_state != "off",
         "next_uid": sw._next_uid,
         "free": sw._free,
         "peak": sw._peak_occ,
@@ -806,7 +805,6 @@ def _snap_batch(sw: Any) -> dict:
         "credit_returns": [list(x) for x in sw._credit_returns],
         "pending_departures": [list(x) for x in sw._pending_departures],
         "lean_due": list(sw._lean_due),
-        "core_due_mask": sw._core_due_mask,
         "idle_flushed": sw._idle_flushed,
         "deadline_flushed": sw._deadline_flushed,
         "tape_next_poll": (sw._tape._next_poll
@@ -825,13 +823,21 @@ def _restore_batch(
     from repro.core.batchpath import BatchPipelinedSwitch, _SaturatingTape
 
     body = doc["switch"]
+    if body.get("jit"):
+        # Older documents may come from the batch kernel's compiled array
+        # core, since removed; its state (the unfired due mask) has no
+        # counterpart on the lean or general engine.
+        raise CheckpointUnsupportedError(
+            "snapshot was taken on the batch kernel's array core "
+            "(\"jit\": true), which has been removed; re-run the cell "
+            "from the start"
+        )
     # Construct with the restored telemetry *before* overwriting state: the
-    # constructor selects the lean/array-core engines from telemetry
+    # constructor selects the lean or general engine from telemetry
     # presence and resolves metric handles against the restored registry.
     sw = BatchPipelinedSwitch(cfg, source, telemetry=telemetry,
                               sanitizer=None,
-                              batch_cycles=body["batch_cycles"],
-                              jit=body["jit"])
+                              batch_cycles=body["batch_cycles"])
     sw.cycle = doc["cycle"]
     sw._next_uid = body["next_uid"]
     sw._free = body["free"]
@@ -855,7 +861,6 @@ def _restore_batch(
     sw._pending_departures = deque(tuple(x)
                                    for x in body["pending_departures"])
     sw._lean_due = deque(body["lean_due"])
-    sw._core_due_mask = body["core_due_mask"]
     sw._idle_flushed = body["idle_flushed"]
     sw._deadline_flushed = body["deadline_flushed"]
     if body["tape_next_poll"] is not None:
@@ -978,10 +983,7 @@ def save(switch: Any, path: str | Path) -> dict:
     doc = snapshot_switch(switch)
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    tmp = p.with_name(p.name + ".tmp")
-    tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, p)
+    write_atomic(p, json.dumps(doc, separators=(",", ":")) + "\n")
     return doc
 
 

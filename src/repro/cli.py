@@ -239,10 +239,6 @@ def _add_bench(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--policy", metavar="SPEC", default=None,
                    help="admission policy for every kernel (e.g. "
                         "dynamic:alpha=1.0); default complete sharing")
-    p.add_argument("--jit", action="store_true",
-                   help="enable the batch kernel's numba array core "
-                        "(REPRO_JIT=1 equivalent; falls back gracefully "
-                        "when numba is absent)")
     p.add_argument("--profile", action="store_true",
                    help="run under cProfile and print the top 20 functions "
                         "by cumulative time (forces a single kernel; "
@@ -286,11 +282,8 @@ def cmd_bench(args) -> int:
         params = dict(scenario.params)
         if args.policy is not None:
             params["policy"] = args.policy
-        if kernel == "batch":
-            if args.batch_cycles is not None:
-                params["batch_cycles"] = args.batch_cycles
-            if args.jit:
-                params["jit"] = True
+        if kernel == "batch" and args.batch_cycles is not None:
+            params["batch_cycles"] = args.batch_cycles
         sc = dataclasses.replace(scenario, arch=arch_names[kernel],
                                  params=params)
         return prepare(sc).switch
@@ -707,33 +700,13 @@ def _add_lint(sub: argparse._SubParsersAction) -> None:
                    help="write the report to FILE instead of stdout")
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalog and exit")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="analyze files over N worker processes (findings "
-                        "are identical at any value; default %(default)s)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the incremental cache")
-    p.add_argument("--cache-dir", metavar="DIR", default=".drc-cache",
-                   help="incremental cache location (default %(default)s)")
-    p.add_argument("--diff", metavar="REV", default=None,
-                   help="baseline mode: lint the tree at git revision REV "
-                        "with the current rules and report only findings "
-                        "beyond that baseline")
-    p.add_argument("--fix", action="store_true",
-                   help="apply available autofixes (DRC104 sorted() wrap, "
-                        "DRC101 wall-clock imports) before reporting")
-    p.add_argument("--stats", action="store_true",
-                   help="print engine statistics as one JSON line on stderr")
     p.set_defaults(func=cmd_lint)
 
 
 def cmd_lint(args) -> int:
-    import json as _json
-    import sys as _sys
     from pathlib import Path as _Path
 
-    from repro.drc import FORMATTERS, rule_catalog, run_lint
-    from repro.drc.baseline import baseline_result, new_findings
-    from repro.drc.fixes import apply_fixes
+    from repro.drc.linter import FORMATTERS, rule_catalog, run_lint
 
     if args.rules:
         print(format_table(
@@ -742,27 +715,8 @@ def cmd_lint(args) -> int:
             title="repro.drc rule catalog (suppress with  # drc: disable=<code>)",
         ))
         return 0
-    root = _Path.cwd()
-    if args.fix:
-        fixed = apply_fixes(args.paths, root=root)
-        for rel in sorted(fixed):
-            print(f"fixed {rel}: {fixed[rel]} edit{'s' if fixed[rel] != 1 else ''}")
-    cache_dir = None if args.no_cache else root / args.cache_dir
-    result = run_lint(args.paths, root=root, jobs=max(1, args.jobs),
-                      cache_dir=cache_dir)
-    exit_code = result.exit_code
-    if args.diff is not None:
-        base = baseline_result(args.diff, root, [str(p) for p in args.paths])
-        fresh = new_findings(result, base)
-        n_base = len(result.all_findings()) - len(fresh)
-        result.violations = fresh
-        result.parse_errors = []
-        exit_code = 1 if fresh else 0
-        print(f"baseline {args.diff}: {n_base} pre-existing finding"
-              f"{'s' if n_base != 1 else ''} accepted", file=_sys.stderr)
+    result = run_lint(args.paths, root=_Path.cwd())
     report = FORMATTERS[args.format](result)
-    if args.stats:
-        print(_json.dumps(result.stats, sort_keys=True), file=_sys.stderr)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(report + "\n")
@@ -770,7 +724,7 @@ def cmd_lint(args) -> int:
         print(f"{n} violation{'s' if n != 1 else ''} -> {args.output}")
     else:
         print(report)
-    return exit_code
+    return result.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -795,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     from repro.core import ConfigError
-    from repro.drc import SanitizerError
+    from repro.drc.sanitizer import SanitizerError
     from repro.scenario import ScenarioError
 
     args = build_parser().parse_args(argv)

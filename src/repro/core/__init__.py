@@ -9,11 +9,7 @@
 
 from repro.core.arbiter import Priority, WaveArbiter, WriteRequest
 from repro.core.bank import BankConflictError, MemoryBank
-from repro.core.batchpath import (
-    DEFAULT_BATCH_CYCLES,
-    BatchPipelinedSwitch,
-    resolve_jit,
-)
+from repro.core.batchpath import DEFAULT_BATCH_CYCLES, BatchPipelinedSwitch
 from repro.core.buffer_manager import BufferFullError, BufferManager
 from repro.core.bus import Bus, BusContentionError
 from repro.core.control import ControlPipeline, ControlWord, WaveOp
@@ -53,7 +49,6 @@ __all__ = [
     "BatchPipelinedSwitch",
     "BatchRenewalSource",
     "DEFAULT_BATCH_CYCLES",
-    "resolve_jit",
     "make_pipelined_switch",
     "WaveTracer",
     "WideMemorySwitch",

@@ -32,11 +32,6 @@ itself.  It advances the switch in *cycle batches*:
   ``t+1``), so decision resolution stays sequential; everything around it
   is batched.
 
-An optional array-resident core (:mod:`repro.core._batchcore`) holds the
-same state in struct-of-arrays form and can be compiled with numba behind
-``REPRO_JIT=1`` / ``--jit``; results are identical with or without numba,
-and with the flag unset (see :func:`resolve_jit`).
-
 The correctness contract is the three-way equivalence matrix
 (``tests/core/test_batchpath.py``): checked == fast == batch, bit for bit,
 on statistics, wave counters, latency accumulators and telemetry streams.
@@ -50,7 +45,6 @@ tape, an attached runtime sanitizer — are refused via
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from heapq import heappop, heappush
 from typing import Protocol
@@ -155,23 +149,6 @@ class _SaturatingTape:
             self._next_poll = cycle
 
 
-def resolve_jit(jit: bool | None) -> str:
-    """Resolve the JIT mode: explicit argument beats ``REPRO_JIT=1``.
-
-    Returns ``"off"`` (default: tuned pure-Python engine), ``"active"``
-    (array core compiled with numba) or ``"unavailable"`` (JIT requested
-    but numba is not importable: the same array core runs uncompiled —
-    identical results, no hard dependency).
-    """
-    if jit is None:
-        jit = os.environ.get("REPRO_JIT", "") == "1"
-    if not jit:
-        return "off"
-    from repro.core import _batchcore
-
-    return "active" if _batchcore.NUMBA_AVAILABLE else "unavailable"
-
-
 _LEAN_TABLES: dict[
     int, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 ] = {}
@@ -229,7 +206,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         telemetry: Telemetry | None = None,
         sanitizer: Sanitizer | None = None,
         batch_cycles: int = DEFAULT_BATCH_CYCLES,
-        jit: bool | None = None,
     ) -> None:
         ensure_wave_kernel_supported(_KERNEL, config, source)
         if config.credit_flow:
@@ -312,7 +288,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # sharing, consulted never — the seed hot path is untouched.
         self.policy = config.policy
         self._policy_trivial = self.policy.trivial
-        self._policy_code = self.policy.kernel_code()
         self.stagger_extra = Counter()
         self._unobstructed: set[int] = set()
         # -- batched logs, consumed by _flush() --------------------------------
@@ -338,26 +313,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._deadline_flushed = 0
         self.attach_telemetry(telemetry)
         self.attach_sanitizer(sanitizer)
-        self.jit_state = resolve_jit(jit)
-        # The array core covers the same shape as the lean engine minus the
-        # port-count cap: single-quantum cut-through with telemetry off.
-        core_shape = self._quanta == 1 and config.cut_through and not self._tel
-        if self.jit_state != "off" and core_shape and self._policy_code is None:
-            # Refuse, don't approximate: a policy without an integer kernel
-            # encoding cannot run on the array core, and silently falling
-            # back would make --jit lie about what executed.
-            raise reject_unsupported(
-                _KERNEL,
-                f"admission policy '{self.policy.spec}' does not compile to "
-                f"the numba array core (kernel_code() is None); run it "
-                f"without --jit",
-            )
-        self._array_core = self.jit_state != "off" and core_shape
-        if self.jit_state != "off" and not core_shape:
-            self.jit_state = "unsupported"
-        # Unfired due bitmask for the array core (bit j set while output j
-        # has a wave in flight whose address release is pending).
-        self._core_due_mask = 0
         # The dominant benchmark shape — single-quantum cut-through with
         # telemetry off — runs on a further-specialized engine whose
         # round-robin scans are O(1) bitmask rotations and whose next-wave-ok
@@ -366,7 +321,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             self._quanta == 1
             and config.cut_through
             and not self._tel
-            and not self._array_core
             and n <= 12  # mask-table size: 2**n entries
         )
         self._bits: tuple[tuple[int, ...], ...] = ()
@@ -382,9 +336,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         return [len(q) for q in self._queues]
 
     def _peak_occupancy(self) -> int:
-        # Only the general engine maintains this: the lean engine and the
-        # array core exist for the telemetry-off shape, where the gauge is
-        # never sampled.
+        # Only the general engine maintains this: the lean engine exists for
+        # the telemetry-off shape, where the gauge is never sampled.
         return self._peak_occ
 
     # -- public API -----------------------------------------------------------
@@ -484,12 +437,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         hoisted locals; statistics/telemetry consequences are appended to
         the window logs and applied by :meth:`_flush`.
         """
-        if self._array_core:
-            from repro.core import _batchcore
-
-            _batchcore.advance_window(self, stop, arr_c, arr_l, arr_d,
-                                      draining)
-            return
         if self._lean:
             self._advance_window_lean(stop, arr_c, arr_l, arr_d, draining)
             return

@@ -652,7 +652,6 @@ def make_pipelined_switch(
     sanitizer: Sanitizer | None = None,
     kernel: str | None = None,
     batch_cycles: int | None = None,
-    jit: bool | None = None,
 ) -> "PipelinedSwitch | FastPipelinedSwitch | BatchPipelinedSwitch":
     """Build one of the three kernels: checked, wave-level fast, or batch.
 
@@ -661,8 +660,7 @@ def make_pipelined_switch(
     three produce bit-identical statistics on the same seed; the fast
     kernel skips every structural-invariant check (see module docstring)
     and the batch kernel additionally advances in cycle batches over an
-    arrival tape (``batch_cycles`` sets the window; ``jit`` opts into the
-    numba array core when available).  Pass a
+    arrival tape (``batch_cycles`` sets the window).  Pass a
     :class:`~repro.telemetry.Telemetry` bundle to collect metrics and
     lifecycle events — the streams are equivalent between kernels.
 
@@ -682,15 +680,10 @@ def make_pipelined_switch(
             config, source, telemetry=telemetry, sanitizer=sanitizer,
             batch_cycles=DEFAULT_BATCH_CYCLES if batch_cycles is None
             else batch_cycles,
-            jit=jit,
         )
     if batch_cycles is not None:
         raise ConfigError(
             f"batch_cycles only applies to the batch kernel, not {kernel!r}"
-        )
-    if jit:
-        raise ConfigError(
-            f"jit only applies to the batch kernel, not {kernel!r}"
         )
     if kernel == "fast":
         return FastPipelinedSwitch(config, source, telemetry=telemetry,

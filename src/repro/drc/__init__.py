@@ -3,40 +3,20 @@
 Two halves, one catalog of stable codes:
 
 * **static** (``DRC1xx``) — AST lint rules over the repository source
-  (:mod:`repro.drc.rules`, driven by :func:`repro.drc.run_lint` and the
-  ``repro lint`` CLI);
+  (:mod:`repro.drc.rules`, driven by :func:`repro.drc.linter.run_lint`
+  and the ``repro lint`` CLI);
 * **runtime** (``DRC2xx``) — the opt-in per-cycle invariant sanitizer
   threaded through the kernels (:mod:`repro.drc.sanitizer`, enabled with
   ``--sanitize``).
+
+The package namespace exports only the sanitizer, which every kernel
+imports; the lint engine loads on demand from :mod:`repro.drc.linter`,
+so simulating never pays for parsing the rule families.
 
 See ``ARCHITECTURE.md`` §13 for the full rule catalog and the mapping of
 sanitizer invariants to paper sections.
 """
 
-from repro.drc.baseline import baseline_result, new_findings
-from repro.drc.cache import ENGINE_VERSION, rules_fingerprint
-from repro.drc.dataflow import DataflowEngine, ParamEffects
-from repro.drc.fixes import FIXABLE_CODES, apply_fixes, fix_source
-from repro.drc.graph import ProjectGraph, module_qname
-from repro.drc.linter import (
-    FORMATTERS,
-    SKIP_SENTINEL,
-    LintResult,
-    discover_files,
-    format_json,
-    format_sarif,
-    format_text,
-    parse_suppressions,
-    run_lint,
-)
-from repro.drc.rules import (
-    RULES,
-    LintModule,
-    Project,
-    Rule,
-    Violation,
-    rule_catalog,
-)
 from repro.drc.sanitizer import (
     ADDRESS_MISMATCH,
     BANK_CONFLICT,
@@ -54,35 +34,9 @@ __all__ = [
     "BANK_CONFLICT",
     "CONSERVATION",
     "DOUBLE_INITIATION",
-    "DataflowEngine",
-    "ENGINE_VERSION",
-    "FIXABLE_CODES",
-    "FORMATTERS",
     "INVARIANTS",
-    "LintModule",
-    "LintResult",
     "NULL_SANITIZER",
     "NullSanitizer",
-    "ParamEffects",
-    "Project",
-    "ProjectGraph",
-    "RULES",
-    "Rule",
-    "SKIP_SENTINEL",
     "Sanitizer",
     "SanitizerError",
-    "Violation",
-    "apply_fixes",
-    "baseline_result",
-    "discover_files",
-    "fix_source",
-    "format_json",
-    "format_sarif",
-    "format_text",
-    "module_qname",
-    "new_findings",
-    "parse_suppressions",
-    "rule_catalog",
-    "rules_fingerprint",
-    "run_lint",
 ]

@@ -9,9 +9,9 @@ sets per supported kernel:
 
 * the **mutable set** — attributes of the kernel object written or
   mutated anywhere on the ``run``/``drain`` call closure, computed by
-  the interprocedural dataflow engine (so ``_batchcore.advance_window``
-  writing ``switch._free`` across a module boundary counts, as do
-  mutations through local aliases and bound methods);
+  the interprocedural dataflow engine (so a helper in another module
+  writing ``switch._free`` counts, as do mutations through local
+  aliases and bound methods);
 * the **serialized set** — attributes the kernel's snapshot codec (and
   the helpers it hands the switch to, plus ``snapshot_switch`` itself)
   reads off the object.
@@ -371,7 +371,6 @@ class CheckpointCompletenessRule(Rule):
                "be serialized by its checkpoint codec, re-derived on "
                "restore, or exempted with '# drc: checkpoint-exempt'")
     scope = "project"
-    version = 1
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         yield from _analysis(project).findings["DRC151"]
@@ -384,7 +383,6 @@ class StaleCodecFieldRule(Rule):
     summary = ("checkpoint codecs must only read attributes their kernel "
                "class defines; stale fields fail at snapshot time")
     scope = "project"
-    version = 1
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         yield from _analysis(project).findings["DRC152"]
@@ -397,7 +395,6 @@ class UncheckpointableSubclassRule(Rule):
     summary = ("checkpoint dispatch is exact-type; subclasses of supported "
                "kernels need their own codec")
     scope = "project"
-    version = 1
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         yield from _analysis(project).findings["DRC153"]

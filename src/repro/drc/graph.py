@@ -2,8 +2,7 @@
 
 The per-file rules in :mod:`repro.drc.rules` need only one parsed module;
 the project rules (registry coverage, API shape, RNG provenance,
-checkpoint completeness, numba compatibility) need to answer questions
-that span files:
+checkpoint completeness) need to answer questions that span files:
 
 * *what does the name ``sw.PipelinedSwitch`` in this module refer to?* —
   import/alias resolution, including relative imports and re-export

@@ -1,28 +1,17 @@
-"""Lint driver: discovery, caching, parallel analysis, output formats.
+"""Lint entry point: discovery, suppressions, output formats.
 
 ``run_lint(paths)`` parses every ``.py`` file under the given paths into
 :class:`~repro.drc.rules.LintModule`\\ s, runs the whole rule catalog
-(module-scope rules file by file, project-scope rules over the whole
+(module-scope rules file by file, then project-scope rules over the whole
 program via :class:`~repro.drc.rules.Project`), drops findings
 suppressed with a ``# drc: disable=<code>`` comment on the offending
 line, and returns the surviving violations sorted by path/line.
 
-Engine v2 additions:
-
-* **Incremental cache** (``cache_dir=``): content-addressed per-file and
-  whole-project entries — see :mod:`repro.drc.cache`.  A warm run over
-  unchanged content reconstructs the result without parsing anything
-  (``files_analyzed == 0``); a partial run re-analyzes only changed
-  files plus their reverse-import closure.  Output is bit-identical to
-  a cold run in every case.
-* **Parallel analysis** (``jobs=``): per-file parsing, hashing, and
-  module-rule checking fan out over a process pool; results merge in
-  input order, so findings are identical at any job count.
-* ``.drc-skip`` **sentinel**: a directory containing this file is
-  pruned from recursive discovery (the seeded-defect corpus under
-  ``tests/drc/corpus/`` lints deliberately-broken fixtures; the repo
-  self-lint must not see them).  Passing such a directory *explicitly*
-  still lints it — the sentinel only prunes recursion from above.
+A directory containing a ``.drc-skip`` **sentinel** is pruned from
+recursive discovery (the seeded-defect corpus under ``tests/drc/corpus/``
+lints deliberately-broken fixtures; the repo self-lint must not see
+them).  Passing such a directory *explicitly* still lints it — the
+sentinel only prunes recursion from above.
 
 Suppression syntax (mirrors the familiar lint tools):
 
@@ -38,41 +27,23 @@ Output formats: ``text`` (one ``path:line:col: CODE message`` per line),
 
 from __future__ import annotations
 
-import ast
 import json
-import os
-import pickle
 import re
-import tempfile
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
-from repro.drc.cache import (
-    FileEntry,
-    LintCache,
-    aggregate_sha,
-    dirty_set,
-    file_sha,
-    load_cache,
-    rules_fingerprint,
-    save_cache,
-)
-from repro.drc.graph import imports_in, module_qname
 from repro.drc.rules import LintModule, Project, Violation, rule_catalog
 
 # Imported for their @register side effects: these modules contribute the
-# RNG-provenance, checkpoint-completeness, and numba-compat rule families.
+# RNG-provenance and checkpoint-completeness rule families.
 from repro.drc import checkpoint_rules as _checkpoint_rules  # noqa: F401
-from repro.drc import numba_rules as _numba_rules  # noqa: F401
 from repro.drc import rng_rules as _rng_rules  # noqa: F401
 
 #: directories never descended into during file discovery
 _SKIP_DIRS = frozenset({
     ".git", ".hg", "__pycache__", ".venv", "venv", "node_modules",
     ".mypy_cache", ".ruff_cache", ".pytest_cache", "build", "dist",
-    ".drc-cache",
 })
 
 #: a directory containing this file is pruned from recursive discovery
@@ -139,16 +110,11 @@ class LintResult:
     """Violations that survived suppression, plus run accounting."""
 
     def __init__(self, violations: list[Violation], files_checked: int,
-                 suppressed: int, parse_errors: list[Violation],
-                 files_analyzed: int | None = None,
-                 stats: dict[str, object] | None = None) -> None:
+                 suppressed: int, parse_errors: list[Violation]) -> None:
         self.violations = violations
         self.files_checked = files_checked
         self.suppressed = suppressed
         self.parse_errors = parse_errors
-        self.files_analyzed = (files_checked if files_analyzed is None
-                               else files_analyzed)
-        self.stats: dict[str, object] = stats if stats is not None else {}
 
     @property
     def exit_code(self) -> int:
@@ -159,134 +125,18 @@ class LintResult:
                       key=lambda v: (v.path, v.line, v.col, v.code))
 
 
-@dataclass
-class _FileRecord:
-    """One file's worth of worker output (picklable)."""
-
-    relpath: str
-    sha: str
-    mod: LintModule | None = None
-    suppressions: dict[int, set[str] | None] = field(default_factory=dict)
-    findings: list[Violation] = field(default_factory=list)
-    suppressed: int = 0
-    parse_error: Violation | None = None
-    imports: list[str] = field(default_factory=list)
-    analyzed: bool = False
-
-
-def _analyze_file(args: tuple[str, str, bool]) -> _FileRecord:
-    """Worker: hash, parse, and (when ``run_rules``) run module-scope
-    rules plus suppression filtering for one file."""
-    path_str, rel, run_rules = args
-    path = Path(path_str)
+def _parse_file(path: Path, rel: str) -> LintModule | Violation:
+    """Parse one file, or return the DRC001 finding that it cannot be."""
     try:
         data = path.read_bytes()
     except OSError as exc:
-        return _FileRecord(rel, "", parse_error=Violation(
-            "DRC001", rel, 1, 1, f"file could not be read: {exc}"),
-            analyzed=run_rules)
-    sha = file_sha(data)
+        return Violation("DRC001", rel, 1, 1, f"file could not be read: {exc}")
     try:
-        source = data.decode("utf-8")
-        mod = LintModule.parse(path, rel, source)
+        return LintModule.parse(path, rel, data.decode("utf-8"))
     except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
         line = getattr(exc, "lineno", 1) or 1
-        return _FileRecord(rel, sha, parse_error=Violation(
-            "DRC001", rel, line, 1, f"file could not be parsed: {exc}"),
-            analyzed=run_rules)
-    record = _FileRecord(rel, sha, mod=mod,
-                         suppressions=parse_suppressions(source),
-                         analyzed=run_rules)
-    env = imports_in(
-        [s for s in ast.walk(mod.tree) if isinstance(s, ast.stmt)],
-        module_qname(rel), rel.endswith("__init__.py"),
-    )
-    record.imports = sorted(set(env.values()))
-    if run_rules:
-        kept: list[Violation] = []
-        for rule in rule_catalog():
-            if rule.scope != "module":
-                continue
-            for v in rule.check_module(mod):
-                if _suppressed(v, record.suppressions):
-                    record.suppressed += 1
-                else:
-                    kept.append(v)
-        record.findings = kept
-    return record
-
-
-def _rules_worker(args: tuple[str, str]) -> tuple[str, list[Violation], int]:
-    """Parallel worker: module-scope findings for one file.
-
-    Returns only (relpath, findings, suppressed) — never the parsed
-    tree.  Shipping ASTs back through pickle costs more than the parent
-    re-parsing the source, so the parent parses its own copy while the
-    workers run the rules.
-    """
-    record = _analyze_file((args[0], args[1], True))
-    return record.relpath, record.findings, record.suppressed
-
-
-def _fork_rules(dirty_work: list[tuple[str, str]],
-                jobs: int) -> list[tuple[int, str]] | None:
-    """Fork ``jobs`` children, each running module rules over a strided
-    slice of ``dirty_work`` and pickling results to a temp file.
-
-    Returns (pid, result-path) pairs, or ``None`` where ``fork`` is
-    unavailable.  Plain ``os.fork`` instead of a process pool on
-    purpose: a pool's feeder/result threads contend with the parent's
-    own CPU-bound parsing for the GIL (a convoy that more than doubles
-    the wall time), while forked children share nothing with the parent
-    but copy-on-write memory.
-    """
-    if not hasattr(os, "fork"):
-        return None
-    procs: list[tuple[int, str]] = []
-    for i in range(jobs):
-        chunk = dirty_work[i::jobs]
-        if not chunk:
-            continue
-        fd, tmp = tempfile.mkstemp(prefix="drc-par-", suffix=".pkl")
-        os.close(fd)
-        pid = os.fork()
-        if pid == 0:  # child
-            code = 1
-            try:
-                out = [_rules_worker(w) for w in chunk]
-                with open(tmp, "wb") as fh:
-                    pickle.dump(out, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                code = 0
-            finally:
-                os._exit(code)
-        procs.append((pid, tmp))
-    return procs
-
-
-def _collect_fork_rules(
-    procs: list[tuple[int, str]],
-) -> dict[str, tuple[list[Violation], int]] | None:
-    """Reap the children; ``None`` if any failed (caller re-runs
-    serially)."""
-    out: dict[str, tuple[list[Violation], int]] = {}
-    failed = False
-    for pid, tmp in procs:
-        _, status = os.waitpid(pid, 0)
-        try:
-            if status != 0:
-                failed = True
-                continue
-            with open(tmp, "rb") as fh:
-                for rel, findings, n_sup in pickle.load(fh):
-                    out[rel] = (findings, n_sup)
-        except (OSError, pickle.UnpicklingError, EOFError):
-            failed = True
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-    return None if failed else out
+        return Violation("DRC001", rel, line, 1,
+                         f"file could not be parsed: {exc}")
 
 
 def _relpath(f: Path, root: Path) -> str:
@@ -296,163 +146,45 @@ def _relpath(f: Path, root: Path) -> str:
         return f.as_posix()
 
 
-def run_lint(paths: Iterable[str | Path], root: Path | None = None, *,
-             jobs: int = 1, cache_dir: Path | None = None) -> LintResult:
-    """Lint every Python file under ``paths``; see module docstring.
-
-    ``jobs`` fans per-file analysis out over a process pool (findings
-    are identical at any value).  ``cache_dir`` enables the incremental
-    cache; ``None`` (the default) analyzes everything from scratch.
-    """
-    t0 = time.perf_counter()
+def run_lint(paths: Iterable[str | Path], root: Path | None = None) -> LintResult:
+    """Lint every Python file under ``paths``; see module docstring."""
     root = Path.cwd() if root is None else root
     files = discover_files(paths, root=root)
-    rels = [_relpath(f, root) for f in files]
-
-    cache: LintCache | None = None
-    shas: dict[str, str] = {}
-    if cache_dir is not None:
-        cache = load_cache(cache_dir)
-        for f, rel in zip(files, rels):
-            try:
-                shas[rel] = file_sha(f.read_bytes())
-            except OSError:
-                shas[rel] = ""
-        agg = aggregate_sha(shas)
-        if (cache is not None
-                and set(shas) == set(cache.files)
-                and all(cache.files[rel].sha == sha
-                        for rel, sha in shas.items())
-                and cache.project_agg == agg):
-            return _from_cache(cache, len(files), t0, jobs)
-
-    if cache is not None:
-        dirty = dirty_set(cache, shas)
-        mode = "partial" if len(dirty) < len(files) else "cold"
-    else:
-        dirty = set(rels)
-        mode = "cold" if cache_dir is not None else "off"
-
-    work = [(str(f), rel, rel in dirty) for f, rel in zip(files, rels)]
-    dirty_work = [(p, rel) for p, rel, d in work if d]
-    procs = (_fork_rules(dirty_work, jobs)
-             if jobs > 1 and len(dirty_work) > 1 else None)
-    if procs is not None:
-        # children run module rules on dirty files; the parent parses
-        # every tree (project rules need them all) in the same wall time
-        records = [_analyze_file((p, rel, False)) for p, rel, _ in work]
-        rule_out = _collect_fork_rules(procs)
-        by_rel = {r.relpath: r for r in records}
-        for p, rel in dirty_work:
-            record = by_rel[rel]
-            if rule_out is not None and rel in rule_out:
-                record.findings, record.suppressed = rule_out[rel]
-            else:  # a child died: redo this file in-process
-                redone = _analyze_file((p, rel, True))
-                record.findings = redone.findings
-                record.suppressed = redone.suppressed
-            record.analyzed = True
-    else:
-        records = [_analyze_file(args) for args in work]
-    t_files = time.perf_counter()
+    rules = rule_catalog()
+    module_rules = [r for r in rules if r.scope == "module"]
+    project_rules = [r for r in rules if r.scope == "project"]
 
     parse_errors: list[Violation] = []
     kept: list[Violation] = []
     n_suppressed = 0
     suppressions: dict[str, dict[int, set[str] | None]] = {}
     mods: list[LintModule] = []
-    for record in records:
-        suppressions[record.relpath] = record.suppressions
-        if record.mod is not None:
-            mods.append(record.mod)
-        cached_entry = (cache.files.get(record.relpath)
-                        if cache is not None else None)
-        if not record.analyzed and cached_entry is not None:
-            record.findings = list(cached_entry.findings)
-            record.suppressed = cached_entry.suppressed
-            if record.mod is None and cached_entry.parse_error is not None:
-                record.parse_error = cached_entry.parse_error
-        if record.parse_error is not None:
-            parse_errors.append(record.parse_error)
-        kept.extend(record.findings)
-        n_suppressed += record.suppressed
+    for f in files:
+        parsed = _parse_file(f, _relpath(f, root))
+        if isinstance(parsed, Violation):
+            parse_errors.append(parsed)
+            continue
+        mods.append(parsed)
+        sup = suppressions[parsed.relpath] = parse_suppressions(parsed.source)
+        for rule in module_rules:
+            for v in rule.check_module(parsed):
+                if _suppressed(v, sup):
+                    n_suppressed += 1
+                else:
+                    kept.append(v)
 
     project = Project(mods)
-    project_kept: list[Violation] = []
-    project_suppressed = 0
-    for rule in rule_catalog():
-        if rule.scope != "project":
-            continue
+    for rule in project_rules:
         for v in rule.check_project(project):
             if _suppressed(v, suppressions.get(v.path, {})):
-                project_suppressed += 1
+                n_suppressed += 1
             else:
-                project_kept.append(v)
-    t_project = time.perf_counter()
+                kept.append(v)
 
-    if cache_dir is not None:
-        new_cache = LintCache(fingerprint=rules_fingerprint())
-        for record in records:
-            new_cache.files[record.relpath] = FileEntry(
-                sha=record.sha or shas.get(record.relpath, ""),
-                findings=list(record.findings),
-                suppressed=record.suppressed,
-                parse_error=record.parse_error,
-                imports=list(record.imports),
-            )
-        new_cache.project_agg = aggregate_sha(
-            {rel: e.sha for rel, e in new_cache.files.items()})
-        new_cache.project_findings = list(project_kept)
-        new_cache.project_suppressed = project_suppressed
-        save_cache(cache_dir, new_cache)
-
-    violations = sorted(kept + project_kept,
-                        key=lambda v: (v.path, v.line, v.col, v.code))
+    kept.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     parse_errors.sort(key=lambda v: (v.path, v.line))
-    n_analyzed = sum(1 for r in records if r.analyzed)
-    stats: dict[str, object] = {
-        "cache": mode,
-        "jobs": jobs,
-        "files_checked": len(files),
-        "files_analyzed": n_analyzed,
-        "elapsed": round(time.perf_counter() - t0, 6),
-        "elapsed_files": round(t_files - t0, 6),
-        "elapsed_project": round(t_project - t_files, 6),
-    }
-    return LintResult(violations, files_checked=len(files),
-                      suppressed=n_suppressed + project_suppressed,
-                      parse_errors=parse_errors,
-                      files_analyzed=n_analyzed, stats=stats)
-
-
-def _from_cache(cache: LintCache, n_files: int, t0: float,
-                jobs: int) -> LintResult:
-    """Full cache hit: rebuild the result without parsing anything."""
-    kept: list[Violation] = []
-    parse_errors: list[Violation] = []
-    n_suppressed = cache.project_suppressed
-    for rel in sorted(cache.files):
-        entry = cache.files[rel]
-        kept.extend(entry.findings)
-        n_suppressed += entry.suppressed
-        if entry.parse_error is not None:
-            parse_errors.append(entry.parse_error)
-    violations = sorted(kept + cache.project_findings,
-                        key=lambda v: (v.path, v.line, v.col, v.code))
-    parse_errors.sort(key=lambda v: (v.path, v.line))
-    elapsed = round(time.perf_counter() - t0, 6)
-    stats: dict[str, object] = {
-        "cache": "hit",
-        "jobs": jobs,
-        "files_checked": n_files,
-        "files_analyzed": 0,
-        "elapsed": elapsed,
-        "elapsed_files": elapsed,
-        "elapsed_project": 0.0,
-    }
-    return LintResult(violations, files_checked=n_files,
-                      suppressed=n_suppressed, parse_errors=parse_errors,
-                      files_analyzed=0, stats=stats)
+    return LintResult(kept, files_checked=len(files),
+                      suppressed=n_suppressed, parse_errors=parse_errors)
 
 
 # -- output formats ---------------------------------------------------------

@@ -445,7 +445,6 @@ class SharedStreamRule(Rule):
     summary = ("one numpy Generator object must not feed two switch/source "
                "instances; spawn independent streams per consumer")
     scope = "project"
-    version = 1
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         yield from _analysis(project).findings["DRC141"]
@@ -458,7 +457,6 @@ class EntropySeedRule(Rule):
     summary = ("RNG streams seeded from the wall clock or OS entropy are "
                "unreproducible; seed explicitly via repro.sim.rng.make_rng")
     scope = "project"
-    version = 1
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         yield from _analysis(project).findings["DRC142"]
@@ -472,7 +470,6 @@ class WorkerStreamCaptureRule(Rule):
                "boundary fork RNG state; build streams inside the worker "
                "from per-task seeds")
     scope = "project"
-    version = 1
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         yield from _analysis(project).findings["DRC143"]

@@ -133,18 +133,13 @@ class Rule:
     """Base class: per-module or project-wide checks (see module doc).
 
     ``scope`` decides where the engine runs the rule ("module" rules run
-    per file, possibly in worker processes, and their findings are cached
     per file; "project" rules run once over the whole collection).
-    ``version`` feeds the incremental-cache fingerprint: bump it whenever
-    a change to the rule can alter its findings, so stale cached results
-    are invalidated.
     """
 
     code: str = "DRC000"
     name: str = ""
     summary: str = ""
     scope: str = "module"
-    version: int = 1
 
     def check_module(self, mod: LintModule) -> Iterator[Violation]:
         return iter(())
@@ -415,7 +410,6 @@ class RegistryCoverageRule(Rule):
                "repro.scenario.registry, and the registry references only "
                "kernels that exist")
     scope = "project"
-    version = 2  # re-grounded on the exact class-hierarchy resolver
 
     @staticmethod
     def _switches_alias_refs(tree: ast.Module) -> list[ast.Attribute]:
@@ -550,7 +544,6 @@ class PolicyCoverageRule(Rule):
                "reach it), and every DROP_* cause constant appears in the "
                "DROP_CAUSES taxonomy map")
     scope = "project"
-    version = 2  # subclass walk re-grounded on the class-hierarchy resolver
 
     @staticmethod
     def _dict_value_names(tree: ast.Module, target: str) -> list[ast.Name]:
@@ -660,7 +653,6 @@ class ApiShapeRule(Rule):
 
     _SLOTTED_HOOKS = ("_admit", "_select_departures", "occupancy")
     scope = "project"
-    version = 2  # method lookup re-grounded on resolved project MROs
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         graph = project.graph

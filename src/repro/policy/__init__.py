@@ -5,10 +5,6 @@ from repro.policy.admission import (
     AdmissionPolicy,
     CompleteSharing,
     DynamicThreshold,
-    K_COMPLETE,
-    K_DYNAMIC,
-    K_RESERVATION,
-    K_STATIC,
     PortReservation,
     StaticThreshold,
     parse_policy,
@@ -22,8 +18,4 @@ __all__ = [
     "PortReservation",
     "POLICIES",
     "parse_policy",
-    "K_COMPLETE",
-    "K_STATIC",
-    "K_DYNAMIC",
-    "K_RESERVATION",
 ]

@@ -30,10 +30,7 @@ kernel at the arrival instant:
   the queued packets plus the at-most-one departure chain in flight.
 
 Policies are pure functions of that view, so the decision stream is
-reproducible and the four built-ins compile to scalar integer arithmetic
-for the numba array core (:meth:`AdmissionPolicy.kernel_code`).  A policy
-that cannot compile returns ``None`` there and the array core refuses
-loudly (``FastPathUnsupportedError``) instead of approximating.
+reproducible.
 """
 
 from __future__ import annotations
@@ -52,23 +49,11 @@ __all__ = [
     "PortReservation",
     "POLICIES",
     "parse_policy",
-    "K_COMPLETE",
-    "K_STATIC",
-    "K_DYNAMIC",
-    "K_RESERVATION",
 ]
 
-# Integer policy codes understood by the batch array core
-# (repro.core._batchcore).  Stable: checkpoints never store them (they
-# store spec strings), but the lean/batch engines share them too.
-K_COMPLETE = 0
-K_STATIC = 1
-K_DYNAMIC = 2
-K_RESERVATION = 3
-
 # Denominator bound for the dynamic threshold's exact-rational alpha.
-# Keeps every intermediate product of the admission test inside int64 so
-# the numba core and the Python engines compute bit-identical decisions.
+# The admission test runs in exact integer arithmetic, so its decisions
+# are deterministic: no float rounding, identical in every kernel.
 _ALPHA_DENOMINATOR_LIMIT = 1 << 16
 
 
@@ -107,11 +92,6 @@ class AdmissionPolicy:
     def validate(self, *, n: int, addresses: int, quanta: int) -> None:
         """Raise :class:`ConfigError` if this policy cannot govern the
         given switch geometry."""
-
-    def kernel_code(self) -> tuple[int, int, int] | None:
-        """``(kind, p1, p2)`` integer triple for the batch array core, or
-        ``None`` if this policy does not compile (the core then refuses)."""
-        return None
 
     # -- checkpoint hooks ---------------------------------------------------
     def state(self) -> object | None:
@@ -152,9 +132,6 @@ class CompleteSharing(AdmissionPolicy):
     def admit(self, dst: int, free: int, held: Sequence[int], quanta: int) -> bool:
         return True
 
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_COMPLETE, 0, 0)
-
 
 class StaticThreshold(AdmissionPolicy):
     """Per-output static cap: refuse when output ``dst`` already holds
@@ -176,9 +153,6 @@ class StaticThreshold(AdmissionPolicy):
     def admit(self, dst: int, free: int, held: Sequence[int], quanta: int) -> bool:
         return held[dst] < self.cap
 
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_STATIC, self.cap, 0)
-
 
 class DynamicThreshold(AdmissionPolicy):
     """Choudhury–Hahne dynamic threshold (the BShare baseline): admit while
@@ -186,9 +160,8 @@ class DynamicThreshold(AdmissionPolicy):
 
     The test is evaluated in exact integer arithmetic —
     ``quanta * (held[dst] + 1) * den <= num * free`` with
-    ``num/den ≈ alpha`` (denominator bounded so every product fits int64)
-    — so the Python engines and the numba array core take bit-identical
-    decisions.
+    ``num/den ≈ alpha`` (denominator bounded) — so every kernel takes the
+    same, deterministic decision with no float rounding in the test.
     """
 
     kind = "dynamic"
@@ -212,9 +185,6 @@ class DynamicThreshold(AdmissionPolicy):
             quanta * (held[dst] + 1) * self.alpha_den
             <= self.alpha_num * free
         )
-
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_DYNAMIC, self.alpha_num, self.alpha_den)
 
 
 class PortReservation(AdmissionPolicy):
@@ -252,9 +222,6 @@ class PortReservation(AdmissionPolicy):
             if j != dst and h < reserve:
                 shortfall += reserve - h
         return free >= quanta * (1 + shortfall)
-
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_RESERVATION, self.reserve, 0)
 
 
 #: Registry of every admission policy, keyed by spec kind.  The scenario

@@ -22,7 +22,11 @@ completed results in deterministic submission order plus the ``missing``
 ``resume=True`` loads the finished cells from their per-job files and runs
 only the missing ones; the merged output is bit-identical to an
 uninterrupted run (results are deterministic per job, and the merge is
-ordered by submission, not completion).
+ordered by submission, not completion).  Every artifact is written
+atomically (:func:`repro.fileio.write_atomic`); a per-job file that still
+does not parse is treated as missing, and one whose recorded ``arch``,
+``horizon``, ``warmup``, ``params`` or ``traffic`` differ from the current
+scenario's is stale: the cell re-runs from a cold start.
 
 **Checkpointing.** ``checkpoint_every=k`` snapshots every word-level
 kernel to ``<out_dir>/checkpoints/<name>-seed<seed>.ckpt.json`` each ``k``
@@ -44,8 +48,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.fileio import write_atomic
 from repro.scenario.registry import (
     WORD,
+    _jsonable,
     execute_prepared,
     prepare,
     prepared_from_switch,
@@ -60,8 +66,12 @@ CHECKPOINTABLE_ARCHS = frozenset(
 )
 
 
-def _checkpoint_path(out_dir: str, name: str, seed: int) -> Path:
+def _checkpoint_path(out_dir: str | Path, name: str, seed: int) -> Path:
     return Path(out_dir) / "checkpoints" / f"{name}-seed{seed}.ckpt.json"
+
+
+def _write_json(path: Path, doc: Any) -> None:
+    write_atomic(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _run_job(job: tuple[dict[str, Any], int, str | None, bool],
@@ -266,9 +276,7 @@ class ScenarioRunner:
         results: list[dict[str, Any] | None] = [None] * len(jobs)
         if self.resume:
             for i, (sc, seed) in enumerate(jobs):
-                path = self.out_dir / f"{sc.name}-seed{seed}.json"
-                if path.exists():
-                    results[i] = json.loads(path.read_text())
+                results[i] = self._finished_result(sc, seed)
         pending = [i for i, r in enumerate(results) if r is None]
         self._notify("sweep_started", len(jobs), len(jobs) - len(pending))
         tasks = self._task_list(jobs, pending)
@@ -276,13 +284,40 @@ class ScenarioRunner:
         final = [r for r in results if r is not None]
         assert len(final) == len(jobs)
         if self.out_dir is not None:
-            merged = self.out_dir / "results.json"
-            merged.write_text(json.dumps(final, indent=2, allow_nan=False) + "\n")
+            _write_json(self.out_dir / "results.json", final)
             partial = self.out_dir / "results.partial.json"
             if partial.exists():
                 partial.unlink()  # the sweep is whole again
         self._notify("sweep_finished")
         return final
+
+    def _finished_result(self, sc: Scenario, seed: int) -> dict[str, Any] | None:
+        """The cell's result from an earlier run of the same spec, or None.
+
+        A per-cell file that does not parse (torn by a kill mid-write)
+        counts as missing.  One recorded for a different spec under the
+        same name is stale: its checkpoint is deleted too, so the re-run
+        starts cold.
+        """
+        assert self.out_dir is not None
+        path = self.out_dir / f"{sc.name}-seed{seed}.json"
+        try:
+            result = json.loads(path.read_text())
+        except (FileNotFoundError, ValueError):  # ValueError: torn JSON
+            return None
+        if not isinstance(result, dict):
+            return None
+        want = json.loads(json.dumps(_jsonable({
+            "arch": sc.arch,
+            "horizon": sc.horizon,
+            "warmup": sc.effective_warmup,
+            "params": dict(sc.params),
+            "traffic": sc.traffic.to_dict(),
+        })))
+        if {k: result.get(k) for k in want} != want:
+            _checkpoint_path(self.out_dir, sc.name, seed).unlink(missing_ok=True)
+            return None
+        return result
 
     # -- task construction ---------------------------------------------------
 
@@ -404,11 +439,9 @@ class ScenarioRunner:
         for i, result in zip(indices, task_results):
             results[i] = result
             if self.out_dir is not None:
-                path = (self.out_dir
-                        / f"{result['scenario']}-seed{result['seed']}.json")
-                path.write_text(
-                    json.dumps(result, indent=2, allow_nan=False) + "\n"
-                )
+                _write_json(self.out_dir
+                            / f"{result['scenario']}-seed{result['seed']}.json",
+                            result)
             self._notify("job_finished", result["scenario"], result["seed"],
                          result)
 
@@ -422,9 +455,8 @@ class ScenarioRunner:
         completed = [r for r in results if r is not None]
         missing = [[sc.name, seed]
                    for (sc, seed), r in zip(jobs, results) if r is None]
-        manifest = {"completed": completed, "missing": missing}
-        path = self.out_dir / "results.partial.json"
-        path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+        _write_json(self.out_dir / "results.partial.json",
+                    {"completed": completed, "missing": missing})
 
     @staticmethod
     def _job_list(scenarios: Sequence[Scenario]) -> list[tuple[Scenario, int]]:

@@ -1,0 +1,69 @@
+"""Fault injection on the sweep artifacts that resume reads back.
+
+A kill mid-write must not leave a file that crashes the next ``--resume``,
+and a finished cell must only be reused for the spec that produced it.
+"""
+
+import json
+
+import pytest
+
+from repro import fileio
+from repro.scenario.runner import ScenarioRunner
+from repro.scenario.spec import Scenario
+
+
+def _scenario(name, horizon, load=0.7, seed=3):
+    return Scenario.from_dict(dict(
+        name=name, arch="pipelined_fast", horizon=horizon, warmup=200,
+        params={"n": 4, "addresses": 32},
+        traffic={"kind": "renewal", "load": load}, seeds=[seed],
+    ))
+
+
+GRID = [_scenario("cell-a", 1000), _scenario("cell-b", 2000),
+        _scenario("cell-c", 1500, load=0.9)]
+
+
+def test_torn_cell_result_is_rerun_on_resume(tmp_path):
+    clean = ScenarioRunner(jobs=1, out_dir=tmp_path / "clean").run(GRID)
+    out = tmp_path / "torn"
+    ScenarioRunner(jobs=1, out_dir=out).run(GRID)
+    cell = out / "cell-b-seed3.json"
+    text = cell.read_text()
+    cell.write_text(text[: len(text) // 2])  # a kill mid-write
+
+    resumed = ScenarioRunner(jobs=1, out_dir=out, resume=True).run(GRID)
+    assert resumed == clean
+    assert json.loads(cell.read_text()) == clean[1]
+    assert (json.loads((out / "results.json").read_text())
+            == json.loads((tmp_path / "clean" / "results.json").read_text()))
+
+
+def test_edited_grid_does_not_reuse_stale_cell(tmp_path):
+    out = tmp_path / "sweep"
+    ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400).run(
+        [_scenario("cell", 1200, load=0.2)])
+    assert (out / "checkpoints" / "cell-seed3.ckpt.json").exists()
+
+    # same name, new load: neither the result nor the finished checkpoint
+    # of the load-0.2 run may leak into the load-0.9 cell
+    edited = [_scenario("cell", 1200, load=0.9)]
+    resumed = ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400,
+                             resume=True).run(edited)
+    fresh = ScenarioRunner(jobs=1, out_dir=tmp_path / "fresh").run(edited)
+    assert resumed == fresh
+    assert resumed[0]["traffic"]["load"] == 0.9
+
+
+def test_write_atomic_keeps_old_file_when_interrupted(tmp_path, monkeypatch):
+    target = tmp_path / "results.json"
+    target.write_text('{"old": true}\n')
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fileio.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        fileio.write_atomic(target, '{"new": true}\n')
+    assert json.loads(target.read_text()) == {"old": True}

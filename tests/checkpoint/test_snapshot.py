@@ -161,6 +161,35 @@ def test_trace_source_resume_and_exhaustion():
         assert ref.cycle == before
 
 
+def _pre_removal_batch_doc(*, jit):
+    """A version-2 batch snapshot as written while the batch kernel still
+    had its optional compiled array core: the body carried ``"jit"`` and
+    that core's ``"core_due_mask"``."""
+    sw = _build("batch", batch_cycles=64, seed=13)
+    sw.run(411)
+    doc = json.loads(json.dumps(snapshot_switch(sw)))
+    assert doc["version"] == SNAPSHOT_VERSION == 2
+    body = doc["switch"]
+    assert "jit" not in body and "core_due_mask" not in body
+    body["jit"] = jit
+    body["core_due_mask"] = 0b101 if jit else 0
+    return doc
+
+
+def test_pre_removal_batch_doc_without_jit_resumes_identically():
+    ref = _build("batch", batch_cycles=64, seed=13)
+    ref.run(1000)
+    resumed = restore_switch(_pre_removal_batch_doc(jit=False))
+    resumed.run(1000 - 411)
+    assert fingerprint_doc(resumed) == fingerprint_doc(ref)
+    assert fingerprint(resumed) == fingerprint(ref)
+
+
+def test_pre_removal_batch_doc_with_jit_is_refused():
+    with pytest.raises(CheckpointUnsupportedError, match="array core"):
+        restore_switch(_pre_removal_batch_doc(jit=True))
+
+
 # -- save/load plumbing -------------------------------------------------------
 
 def test_save_load_restore_roundtrip(tmp_path):

@@ -31,7 +31,6 @@ from repro.core import (
     RenewalPacketSource,
     SaturatingSource,
     make_pipelined_switch,
-    resolve_jit,
 )
 from repro.drc.sanitizer import Sanitizer
 from repro.sim.packet import reset_packet_ids
@@ -309,60 +308,6 @@ class TestRefusals:
             BatchPipelinedSwitch(cfg, _renewal(cfg, 0.5, 1), batch_cycles=0)
 
 
-class TestArrayCore:
-    """The numba-optional array core must be bit-identical uncompiled."""
-
-    def test_resolve_jit_states(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        assert resolve_jit(None) == "off"
-        assert resolve_jit(False) == "off"
-        monkeypatch.setenv("REPRO_JIT", "1")
-        assert resolve_jit(None) in ("active", "unavailable")
-        monkeypatch.setenv("REPRO_JIT", "0")
-        assert resolve_jit(None) == "off"
-
-    def test_jit_gate_follows_shape(self):
-        cfg = PipelinedSwitchConfig(n=8, addresses=128)
-        sw = BatchPipelinedSwitch(cfg, _renewal(cfg, 0.6, 1), jit=True)
-        assert sw.jit_state in ("active", "unavailable")
-        assert sw._array_core
-        for unsupported in (dict(quanta=2, addresses=64),
-                            dict(addresses=32, cut_through=False)):
-            cfg2 = PipelinedSwitchConfig(n=4, **unsupported)
-            sw2 = BatchPipelinedSwitch(cfg2, _renewal(cfg2, 0.6, 1), jit=True)
-            assert sw2.jit_state == "unsupported"
-            assert not sw2._array_core
-
-    @pytest.mark.parametrize("cfg_kwargs,make_source,load,seed,warmup", [
-        MATRIX[0], MATRIX[1], MATRIX[4], MATRIX[5],
-    ])
-    def test_array_core_bit_identical(self, cfg_kwargs, make_source, load,
-                                      seed, warmup):
-        # jit=True exercises _batchcore.advance_window regardless of whether
-        # numba is installed ("unavailable" runs the same kernel uncompiled).
-        cfg = PipelinedSwitchConfig(**cfg_kwargs)
-        checked, drains_c = _run_reference(PipelinedSwitch, cfg, make_source,
-                                           load, seed, warmup)
-        reset_packet_ids()
-        sw = BatchPipelinedSwitch(cfg, make_source(cfg, load, seed),
-                                  batch_cycles=256, jit=True)
-        assert sw._array_core
-        sw.warmup = warmup
-        sw.run(1200)
-        d1 = sw.drain()
-        sw.run(500)
-        d2 = sw.drain()
-        _assert_fp_equal(_fingerprint(checked), _fingerprint(sw), "jit")
-        assert (d1, d2) == drains_c
-
-    def test_telemetry_disables_array_core(self):
-        cfg = PipelinedSwitchConfig(n=4, addresses=32)
-        sw = BatchPipelinedSwitch(cfg, _renewal(cfg, 0.6, 1), jit=True,
-                                  telemetry=Telemetry.on(sample_interval=32))
-        assert sw.jit_state == "unsupported"
-        assert not sw._array_core
-
-
 class TestFactory:
     def test_factory_selects_batch_kernel(self):
         cfg = PipelinedSwitchConfig(n=4, addresses=32)
@@ -376,7 +321,5 @@ class TestFactory:
         with pytest.raises(ValueError, match="batch_cycles"):
             make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1), kernel="fast",
                                   batch_cycles=128)
-        with pytest.raises(ValueError, match="jit"):
-            make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1), jit=True)
         with pytest.raises(ValueError, match="unknown kernel"):
             make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1), kernel="warp")

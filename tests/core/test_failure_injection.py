@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.bank import BankConflictError
 from repro.core.control import ControlWord, WaveOp
-from repro.drc import (
+from repro.drc.sanitizer import (
     ADDRESS_MISMATCH,
     BANK_CONFLICT,
     CONSERVATION,

@@ -9,8 +9,7 @@ Two contracts, both bit-level:
 * **Non-trivial policies are kernel-invariant.**  StaticThreshold,
   DynamicThreshold and PortReservation must produce identical decision
   streams — stats, ``policy_drops``, ``DROP_POLICY`` events — on the
-  checked, fast and batch kernels, at every ``batch_cycles``, and on the
-  numba array core (which runs the policy as compiled integer codes).
+  checked, fast and batch kernels, at every ``batch_cycles``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 from repro.core import (
     BatchPipelinedSwitch,
     BatchRenewalSource,
-    FastPathUnsupportedError,
     FastPipelinedSwitch,
     PipelinedSwitch,
     PipelinedSwitchConfig,
@@ -65,8 +63,8 @@ def _fingerprint(sw) -> dict:
     }
 
 
-def _run(kernel, cfg_kwargs, load, seed, *, batch=None, jit=None,
-         telemetry=None, cycles=1500):
+def _run(kernel, cfg_kwargs, load, seed, *, batch=None, telemetry=None,
+         cycles=1500):
     reset_packet_ids()
     cfg = PipelinedSwitchConfig(**cfg_kwargs)
     src = _source(cfg, load, seed)
@@ -74,8 +72,6 @@ def _run(kernel, cfg_kwargs, load, seed, *, batch=None, jit=None,
         kwargs = {}
         if batch is not None:
             kwargs["batch_cycles"] = batch
-        if jit is not None:
-            kwargs["jit"] = jit
         sw = BatchPipelinedSwitch(cfg, src, telemetry=telemetry, **kwargs)
     else:
         sw = kernel(cfg, src, telemetry=telemetry)
@@ -106,10 +102,6 @@ class TestKernelInvariance:
             got = _fingerprint(_run(BatchPipelinedSwitch, kwargs, load, seed,
                                     batch=batch))
             assert got == fp, f"batch={batch} diverged under {policy}"
-        # the array core runs the policy as compiled integer codes
-        got = _fingerprint(_run(BatchPipelinedSwitch, kwargs, load, seed,
-                                batch=64, jit=True))
-        assert got == fp, f"array core diverged under {policy}"
 
     def test_non_trivial_policies_actually_refuse(self):
         """Guard: the droppy shape exercises every policy's refusal path,
@@ -153,7 +145,9 @@ class TestPolicyTelemetry:
 
 
 class TestRefusals:
-    def test_array_core_refuses_uncompilable_policy(self):
+    def test_custom_policy_runs_on_batch_engines(self):
+        """A policy outside the built-ins needs only ``admit``: both batch
+        engines (lean with telemetry off, general with it on) run it."""
         class Opaque(AdmissionPolicy):
             @property
             def spec(self):
@@ -163,14 +157,13 @@ class TestRefusals:
                 return True
 
         cfg = PipelinedSwitchConfig(n=4, addresses=16, policy=Opaque())
-        src = _source(cfg, 1.0, 3)
-        with pytest.raises(FastPathUnsupportedError, match="does not compile"):
-            BatchPipelinedSwitch(cfg, src, jit=True)
-        # without --jit the scalar engines run it fine (jit=False pins the
-        # choice even when the suite runs under REPRO_JIT=1)
-        reset_packet_ids()
-        sw = BatchPipelinedSwitch(cfg, _source(cfg, 1.0, 3), jit=False)
-        sw.run(200)
+        for telemetry in (None, Telemetry.on(sample_interval=32)):
+            reset_packet_ids()
+            sw = BatchPipelinedSwitch(cfg, _source(cfg, 1.0, 3),
+                                      telemetry=telemetry)
+            assert sw._lean is (telemetry is None)
+            sw.run(200)
+            assert sw.stats.delivered > 0
 
     def test_credit_flow_conflicts_with_dropping_policy(self):
         with pytest.raises(ConfigError, match="credit_flow"):

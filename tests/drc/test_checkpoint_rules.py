@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.drc import run_lint
+from repro.drc.linter import run_lint
 
 REPO = Path(__file__).resolve().parents[2]
 SNAPSHOT = "src/repro/checkpoint/snapshot.py"

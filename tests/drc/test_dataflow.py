@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from repro.drc import DataflowEngine, LintModule, Project
+from repro.drc.dataflow import DataflowEngine
+from repro.drc.rules import LintModule, Project
 
 
 def _engine(tmp_path: Path, files: dict[str, str]):

@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from repro.drc import LintModule, Project, module_qname
+from repro.drc.graph import module_qname
+from repro.drc.rules import LintModule, Project
 
 
 def _project(tmp_path: Path, files: dict[str, str]) -> Project:

@@ -3,7 +3,7 @@ sanctioned idioms that must stay clean."""
 
 from pathlib import Path
 
-from repro.drc import run_lint
+from repro.drc.linter import run_lint
 
 _SIM_RNG = (
     "import numpy as np\n"

@@ -15,7 +15,7 @@ import pytest
 from repro.core import RenewalPacketSource
 from repro.core.fastpath import make_pipelined_switch
 from repro.core.switch import PipelinedSwitchConfig
-from repro.drc import (
+from repro.drc.sanitizer import (
     BANK_CONFLICT,
     CONSERVATION,
     DOUBLE_INITIATION,
