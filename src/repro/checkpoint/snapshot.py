@@ -804,7 +804,9 @@ def _snap_batch(sw: Any) -> dict:
         "out_credits": list(sw._out_credits),
         "credit_returns": [list(x) for x in sw._credit_returns],
         "pending_departures": [list(x) for x in sw._pending_departures],
-        "lean_due": list(sw._lean_due),
+        # (cycle, output) pairs: independent of the in-memory bit encoding
+        "due": [[e >> sw._n, (e & ((1 << sw._n) - 1)).bit_length() - 1]
+                for e in sw._lean_due],
         "idle_flushed": sw._idle_flushed,
         "deadline_flushed": sw._deadline_flushed,
         "tape_next_poll": (sw._tape._next_poll
@@ -860,7 +862,13 @@ def _restore_batch(
     sw._credit_returns = deque(tuple(x) for x in body["credit_returns"])
     sw._pending_departures = deque(tuple(x)
                                    for x in body["pending_departures"])
-    sw._lean_due = deque(body["lean_due"])
+    if "due" in body:
+        due = body["due"]
+    else:
+        # Older documents encode lean dues as cycle << 12 | output bit.
+        due = [(e >> 12, (e & 4095).bit_length() - 1)
+               for e in body["lean_due"]]
+    sw._lean_due = deque(c << cfg.n | 1 << j for c, j in due)
     sw._idle_flushed = body["idle_flushed"]
     sw._deadline_flushed = body["deadline_flushed"]
     if body["tape_next_poll"] is not None:

@@ -149,40 +149,25 @@ class _SaturatingTape:
             self._next_poll = cycle
 
 
-_LEAN_TABLES: dict[
-    int, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
-] = {}
+def _fill_bits(bits: dict[int, tuple[int, ...]], mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask`` ascending, cached in ``bits`` on first use.
 
-
-def _lean_tables(
-    n: int,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Bitmask lookup tables for the lean engine, cached per port count.
-
-    ``bits[mask]`` lists the set bits of ``mask`` ascending (C-level tuple
-    iteration replaces lowest-set-bit loops); ``first[ptr][mask]`` is the
-    first set bit of ``mask`` in cyclic order from ``ptr`` — the round-robin
-    pick as one table lookup — or -1 for an empty mask.
+    Iterating a cached tuple runs at C level; the engine looks a mask up
+    with ``try: bits[mask]`` and calls this only on a miss, so a plain dict
+    hit (as fast as indexing a tuple) is the common path at any port count.
     """
-    cached = _LEAN_TABLES.get(n)
-    if cached is None:
-        size = 1 << n
-        bits = tuple(
-            tuple(k for k in range(n) if mask >> k & 1) for mask in range(size)
-        )
-        first = tuple(
-            tuple(
-                next(
-                    ((ptr + d) % n for d in range(n) if mask >> (ptr + d) % n & 1),
-                    -1,
-                )
-                for mask in range(size)
-            )
-            for ptr in range(n)
-        )
-        cached = (bits, first)
-        _LEAN_TABLES[n] = cached
-    return cached
+    found = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+    bits[mask] = found
+    return found
+
+
+def _fill_first(first: dict[int, int], ptr: int, mask: int) -> int:
+    """The first set bit of non-empty ``mask`` in cyclic order from ``ptr``
+    (the round-robin pick), cached in ``first`` — the table for ``ptr``."""
+    rest = mask >> ptr << ptr or mask
+    j = (rest & -rest).bit_length() - 1
+    first[mask] = j
+    return j
 
 
 class BatchPipelinedSwitch(SwitchTelemetryMixin):
@@ -306,27 +291,25 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # wave's output becomes usable again and its address releases (both
         # land on t0 + W).  Persisted across windows; replaces _free_due,
         # which stays empty on the lean engine.
-        # Due events for the lean engine, encoded (cycle << 12 | output bit)
+        # Due events for the lean engine, encoded (cycle << n | output bit)
         # so the hot loop never builds or unpacks tuples.
         self._lean_due: deque[int] = deque()
         self._idle_flushed = 0
         self._deadline_flushed = 0
         self.attach_telemetry(telemetry)
         self.attach_sanitizer(sanitizer)
-        # The dominant benchmark shape — single-quantum cut-through with
-        # telemetry off — runs on a further-specialized engine whose
-        # round-robin scans are O(1) bitmask rotations and whose next-wave-ok
-        # expiries are due events (see _advance_window_lean).
+        # Single-quantum cut-through with telemetry off runs on a
+        # further-specialized engine whose round-robin scans are bitmask
+        # picks and whose next-wave-ok expiries are due events (see
+        # _advance_window_lean).
         self._lean = (
             self._quanta == 1
             and config.cut_through
             and not self._tel
-            and n <= 12  # mask-table size: 2**n entries
         )
-        self._bits: tuple[tuple[int, ...], ...] = ()
-        self._first: tuple[tuple[int, ...], ...] = ()
-        if self._lean:
-            self._bits, self._first = _lean_tables(n)
+        # Mask caches filled on first use (see _fill_bits / _fill_first).
+        self._bits: dict[int, tuple[int, ...]] = {}
+        self._first: list[dict[int, int]] = [{} for _ in range(n)]
 
     def _telemetry_state(self) -> tuple[int, int, list[int]]:
         return (self.config.addresses - self._free, self._free,
@@ -957,7 +940,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         due = self._lean_due
         due_append = due.append
         due_popleft = due.popleft
-        next_due = due[0] >> 12 if due else never
+        next_due = due[0] >> n if due else never
         next_ret = returns[0][0] if returns else never
         next_arr = arr_c[0] if n_arr else never
 
@@ -970,10 +953,10 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     credit_mask |= 1 << j
                 next_ret = returns[0][0] if returns else never
             if next_due <= t:
-                while due and due[0] >> 12 <= t:
+                while due and due[0] >> n <= t:
                     free += 1
-                    ok_mask |= due_popleft() & 4095
-                next_due = due[0] >> 12 if due else never
+                    ok_mask |= due_popleft() & full
+                next_due = due[0] >> n if due else never
             # -- phase 2: arbitration ------------------------------------------
             started = False
             wave = False
@@ -984,13 +967,20 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 # the gather/urgent/EDF machinery.  This covers the
                 # majority of iterations at moderate load.
                 if pend_mask:
-                    for i in bits[pend_mask]:
+                    try:
+                        pbits = bits[pend_mask]
+                    except KeyError:
+                        pbits = _fill_bits(bits, pend_mask)
+                    for i in pbits:
                         a = pend_arr[i]
                         if t <= a < min_future:
                             min_future = a
                 comb = ok_mask & credit_mask & nonempty_mask
                 if comb:
-                    j = first_rr[rr_out][comb]
+                    try:
+                        j = first_rr[rr_out][comb]
+                    except KeyError:
+                        j = _fill_first(first_rr[rr_out], rr_out, comb)
                     bit = 1 << j
                     rr_out = j + 1 if j + 1 < n else 0
                     q = queues[j]
@@ -1007,7 +997,11 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 best_i = -1
                 best_arr = 0
                 dst_mask = 0
-                for i in bits[pend_mask]:
+                try:
+                    pbits = bits[pend_mask]
+                except KeyError:
+                    pbits = _fill_bits(bits, pend_mask)
+                for i in pbits:
                     a = pend_arr[i]
                     if a < t:
                         if best_i < 0 or a < best_arr:
@@ -1051,8 +1045,11 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     comb = ready | (avail & dst_mask & (full ^ nonempty_mask))
                     if comb:
                         # First candidate output in cyclic order from
-                        # rr_out — one table lookup.
-                        j = first_rr[rr_out][comb]
+                        # rr_out — one cached lookup.
+                        try:
+                            j = first_rr[rr_out][comb]
+                        except KeyError:
+                            j = _fill_first(first_rr[rr_out], rr_out, comb)
                         bit = 1 << j
                         rr_out = j + 1 if j + 1 < n else 0
                         if ready & bit:
@@ -1066,7 +1063,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                             # tie) eligible pend targeting j.
                             ci = -1
                             ca = 0
-                            for i in bits[pend_mask]:
+                            for i in pbits:
                                 a = pend_arr[i]
                                 if (a < t and pend_dst[i] == j
                                         and (ci < 0 or a < ca)):
@@ -1090,7 +1087,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         sel = -1
                         sa = 0
                         sd = 0
-                        for i in bits[pend_mask]:
+                        for i in pbits:
                             a = pend_arr[i]
                             if a < t:
                                 dd = i - rr_in
@@ -1125,7 +1122,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 tw = t + w
                 next_ok[j] = tw
                 ok_mask ^= bit
-                due_append(tw << 12 | bit)
+                due_append(tw << n | bit)
                 if tw < next_due:
                     next_due = tw
                 if credited:
@@ -1217,7 +1214,12 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         if (admitted and next_ok[d] <= t + 1
                                 and not nonempty_mask >> d & 1):
                             clear = True
-                            for k in bits[pend_mask ^ ibit]:
+                            others = pend_mask ^ ibit
+                            try:
+                                obits = bits[others]
+                            except KeyError:
+                                obits = _fill_bits(bits, others)
+                            for k in obits:
                                 if pend_dst[k] == d:
                                     clear = False
                                     break

@@ -68,7 +68,8 @@ def _fingerprint(sw) -> dict:
 
 #: the shapes the batch kernel supports, E15/E13-flavoured plus every
 #: feature interaction it models (quanta chains, store-and-forward,
-#: downstream credits, wire pipelining, >12 ports past the lean engine)
+#: downstream credits, wire pipelining, and n > 12 — the first widths past
+#: the eager 2**n mask tables an earlier engine used)
 MATRIX = [
     pytest.param(dict(n=8, addresses=128), _renewal, 0.6, 1, 400,
                  id="e15-8x8-drop-tail"),
@@ -85,6 +86,8 @@ MATRIX = [
                  0.6, 1, 0, id="wire-pipelined"),
     pytest.param(dict(n=16, addresses=256), _saturating, 1.0, 6, 200,
                  id="16x16-saturated-general-engine"),
+    pytest.param(dict(n=13, addresses=104), _renewal, 0.8, 5, 100,
+                 id="13x13-past-mask-table-limit"),
 ]
 
 BATCH_SIZES = (1, 7, 256, 4096)
