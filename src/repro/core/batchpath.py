@@ -305,7 +305,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._lean = (
             self._quanta == 1
             and config.cut_through
-            and not self._tel
         )
         # Mask caches filled on first use (see _fill_bits / _fill_first).
         self._bits: dict[int, tuple[int, ...]] = {}
@@ -860,7 +859,20 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         bits = self._bits
         first_rr = self._first
         stats = self.stats
-        if not draining:
+        # Telemetry: every collection site below sits behind ``tel``, so the
+        # telemetry-off loop pays one check per site and builds no logs.
+        # Telemetry-on windows log waves, arrivals, drops and samples for
+        # _flush, which also replays every departure from the wave log.
+        tel = self._tel
+        wlog_append = self._wave_log.append
+        drop_log = self._drop_log
+        dlog_append = drop_log.append
+        alog_append = self._arrive_log.append
+        sample_log = self._sample_log
+        addresses = self.config.addresses
+        min_free = addresses - self._peak_occ  # occupancy high-water mark
+        inline_deps = not draining and not tel
+        if inline_deps:
             # Departure-bearing waves start in tail order (same W for every
             # wave), so straddlers left over from the previous window all
             # depart before any wave this window starts.  Replaying them
@@ -886,7 +898,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     self.total_latency.add(d_ct + w - 1)
                     if staggerless:
                         self.stagger_extra.add(d_ct - 2)
-        inline_deps = not draining
         # Hoisted departure-statistics accumulators (the exact Counter.add /
         # Histogram.add recurrences, applied in departure order — see
         # ``_flush`` for the invariants).
@@ -943,6 +954,11 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         next_due = due[0] >> n if due else never
         next_ret = returns[0][0] if returns else never
         next_arr = arr_c[0] if n_arr else never
+        tel_iv = self.telemetry.sample_interval if tel else 0
+        if tel_iv:
+            next_sample = ((t + tel_iv - 1) // tel_iv) * tel_iv
+        else:
+            next_sample = never
 
         while t < stop:
             # -- phase 0: due consequences of past departures ------------------
@@ -957,9 +973,14 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     free += 1
                     ok_mask |= due_popleft() & full
                 next_due = due[0] >> n if due else never
+            if next_sample <= t:
+                sample_log.append((t, free, tuple(out_credits),
+                                   tuple(len(q) for q in queues),
+                                   len(drop_log), addresses - min_free))
+                next_sample += tel_iv
             # -- phase 2: arbitration ------------------------------------------
             started = False
-            wave = False
+            wave = 0
             min_future = never
             if not pend_mask or not free:
                 # No eligible pending store can start a wave (none pending,
@@ -988,7 +1009,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     if not q:
                         nonempty_mask ^= bit
                     read_waves += 1
-                    wave = True
+                    wave = _READ
             else:
                 # One gather pass over the pending stores computes what the
                 # picks below need: the urgent candidate (min arrival,
@@ -1020,6 +1041,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     deadline += 1
                     uid = pend_uid[best_i]
                     free -= 1
+                    if free < min_free:
+                        min_free = free
                     pend_uid[best_i] = -1
                     pend_mask ^= 1 << best_i
                     if best_arr >= warmup:
@@ -1031,12 +1054,14 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         ct_waves += 1
                         arr_q = best_arr
                         src = best_i
-                        wave = True
+                        wave = _CT
                     else:
                         rr_in = best_i + 1 if best_i + 1 < n else 0
                         queues[j].append((uid, best_arr, t, best_i))
                         nonempty_mask |= bit
                         write_waves += 1
+                        if tel:
+                            wlog_append((t, _STORE, uid, best_i, j, best_arr))
                         if t + w > busy_until:
                             busy_until = t + w
                         started = True
@@ -1058,6 +1083,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                             if not q:
                                 nonempty_mask ^= bit
                             read_waves += 1
+                            wave = _READ
                         else:
                             # Cut-through: minimum-arrival (lowest-input
                             # tie) eligible pend targeting j.
@@ -1071,6 +1097,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     ca = a
                             uid = pend_uid[ci]
                             free -= 1
+                            if free < min_free:
+                                min_free = free
                             pend_uid[ci] = -1
                             pend_mask ^= 1 << ci
                             if ca >= warmup:
@@ -1078,7 +1106,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                             arr_q = ca
                             src = ci
                             ct_waves += 1
-                        wave = True
+                            wave = _CT
                     elif best_i >= 0:
                         # Plain store: earliest deadline first, round-robin
                         # tie-break from rr_in.  Resolved lazily here (only
@@ -1100,6 +1128,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         rr_in = sel + 1 if sel + 1 < n else 0
                         uid = pend_uid[sel]
                         free -= 1
+                        if free < min_free:
+                            min_free = free
                         pend_uid[sel] = -1
                         pend_mask ^= 1 << sel
                         if sa >= warmup:
@@ -1108,6 +1138,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         queues[d].append((uid, sa, t, sel))
                         nonempty_mask |= 1 << d
                         write_waves += 1
+                        if tel:
+                            wlog_append((t, _STORE, uid, sel, d, sa))
                         if t + w > busy_until:
                             busy_until = t + w
                         started = True
@@ -1178,6 +1210,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                 sg_min = sg
                             if sg > sg_max:
                                 sg_max = sg
+                elif tel:
+                    wlog_append((t, wave, uid, src, j, arr_q))
                 else:
                     pending_append((tail, uid, arr_q, src, j, t))
             # -- phase 4: arrivals ---------------------------------------------
@@ -1192,6 +1226,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                             dropped += 1
                         overruns += 1
                         unobstructed.discard(pend_uid[i])
+                        if tel:
+                            dlog_append((t, pend_uid[i], i, pend_dst[i],
+                                         _HEAD, pend_arr[i]))
                     uid = next_uid
                     next_uid += 1
                     stream_end[i] = t + w
@@ -1234,6 +1271,10 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         if t >= warmup:
                             dropped += 1
                         policy_drops += 1
+                        if tel:
+                            dlog_append((t, uid, i, d, _POLICY, t))
+                    if tel:
+                        alog_append((t, uid, i, d))
                 next_arr = arr_c[ai] if ai < n_arr else never
                 # A pend created this cycle becomes eligible at t + 1; fold
                 # it into the idle-skip wake target.
@@ -1258,6 +1299,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 c = min_future + 1
                 if c < target:
                     target = c
+            if next_sample < target:
+                target = next_sample
             if target <= t + 1:
                 t += 1
             else:
@@ -1266,6 +1309,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
 
         # -- write back the hoisted state --------------------------------------
         self._free = free
+        self._peak_occ = addresses - min_free
         self._rr_out = rr_out
         self._rr_in = rr_in
         self._busy_until = busy_until

@@ -94,9 +94,9 @@ BATCH_SIZES = (1, 7, 256, 4096)
 
 
 def _run_reference(kernel_cls, cfg, make_source, load, seed, warmup,
-                   cycles=1200, rerun=500):
+                   cycles=1200, rerun=500, telemetry=None):
     reset_packet_ids()
-    sw = kernel_cls(cfg, make_source(cfg, load, seed))
+    sw = kernel_cls(cfg, make_source(cfg, load, seed), telemetry=telemetry)
     sw.warmup = warmup
     sw.run(cycles)
     d1 = sw.drain()
@@ -106,10 +106,10 @@ def _run_reference(kernel_cls, cfg, make_source, load, seed, warmup,
 
 
 def _run_batch(cfg, make_source, load, seed, warmup, batch,
-               cycles=1200, rerun=500):
+               cycles=1200, rerun=500, telemetry=None):
     reset_packet_ids()
     sw = BatchPipelinedSwitch(cfg, make_source(cfg, load, seed),
-                              batch_cycles=batch)
+                              telemetry=telemetry, batch_cycles=batch)
     sw.warmup = warmup
     sw.run(cycles)
     d1 = sw.drain()
@@ -145,7 +145,7 @@ class TestEquivalenceMatrix:
 
 class TestTelemetryEquivalence:
     @pytest.mark.parametrize("cfg_kwargs,make_source,load,seed,warmup",
-                             MATRIX[:6])
+                             MATRIX)
     def test_event_streams_and_samples_identical(self, cfg_kwargs,
                                                  make_source, load, seed,
                                                  warmup, cycles=1500):
@@ -233,10 +233,11 @@ class TestBatchBoundaries:
     load=st.floats(0.2, 1.0),
     seed=st.integers(0, 2**16),
     batch=st.sampled_from((1, 3, 64, 1024, 4096)),
+    telemetry=st.booleans(),
 )
 def test_random_configs_and_batch_sizes_identical(
     n, addr_factor, quanta, cut_through, credit_flow, wirepipe, load, seed,
-    batch,
+    batch, telemetry,
 ):
     cfg = PipelinedSwitchConfig(
         n=n, addresses=n * quanta * addr_factor, quanta=quanta,
@@ -247,12 +248,17 @@ def test_random_configs_and_batch_sizes_identical(
         with pytest.raises(FastPathUnsupportedError):
             BatchPipelinedSwitch(cfg, _renewal(cfg, load, seed))
         return
+    tel_c = Telemetry.on(sample_interval=32) if telemetry else None
+    tel_b = Telemetry.on(sample_interval=32) if telemetry else None
     checked, drains_c = _run_reference(PipelinedSwitch, cfg, _renewal,
-                                       load, seed, 100)
-    sw, drains_b = _run_batch(cfg, _renewal, load, seed, 100, batch)
+                                       load, seed, 100, telemetry=tel_c)
+    sw, drains_b = _run_batch(cfg, _renewal, load, seed, 100, batch,
+                              telemetry=tel_b)
     _assert_fp_equal(_fingerprint(checked), _fingerprint(sw),
                      f"batch={batch}")
     assert drains_b == drains_c
+    if telemetry:
+        assert tel_b.events.sorted_events() == tel_c.events.sorted_events()
 
 
 class TestTapeSources:

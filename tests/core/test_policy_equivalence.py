@@ -146,8 +146,8 @@ class TestPolicyTelemetry:
 
 class TestRefusals:
     def test_custom_policy_runs_on_batch_engines(self):
-        """A policy outside the built-ins needs only ``admit``: both batch
-        engines (lean with telemetry off, general with it on) run it."""
+        """A policy outside the built-ins needs only ``admit``: the batch
+        kernel's single window engine runs it with telemetry off and on."""
         class Opaque(AdmissionPolicy):
             @property
             def spec(self):
@@ -161,7 +161,7 @@ class TestRefusals:
             reset_packet_ids()
             sw = BatchPipelinedSwitch(cfg, _source(cfg, 1.0, 3),
                                       telemetry=telemetry)
-            assert sw._lean is (telemetry is None)
+            assert sw._lean is True
             sw.run(200)
             assert sw.stats.delivered > 0
 
