@@ -302,10 +302,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # further-specialized engine whose round-robin scans are bitmask
         # picks and whose next-wave-ok expiries are due events (see
         # _advance_window_lean).
-        self._lean = (
-            self._quanta == 1
-            and config.cut_through
-        )
+        self._lean = config.cut_through
         # Mask caches filled on first use (see _fill_bits / _fill_first).
         self._bits: dict[int, tuple[int, ...]] = {}
         self._first: list[dict[int, int]] = [{} for _ in range(n)]
@@ -863,6 +860,14 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # telemetry-off loop pays one check per site and builds no logs.
         # Telemetry-on windows log waves, arrivals, drops and samples for
         # _flush, which also replays every departure from the wave log.
+        # Multi-quantum state (§3.5): reserved chain slots and the
+        # quantum-boundary check heap, both empty when quanta == 1.
+        quanta = self._quanta
+        multi = quanta > 1
+        chain = self._chain
+        chain_add = chain.add
+        chain_offsets = self._chain_offsets
+        qchecks = self._qchecks
         tel = self._tel
         wlog_append = self._wave_log.append
         drop_log = self._drop_log
@@ -954,6 +959,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         next_due = due[0] >> n if due else never
         next_ret = returns[0][0] if returns else never
         next_arr = arr_c[0] if n_arr else never
+        next_qc = qchecks[0][0] if qchecks else never
+        next_p4 = next_arr if next_arr < next_qc else next_qc
         tel_iv = self.telemetry.sample_interval if tel else 0
         if tel_iv:
             next_sample = ((t + tel_iv - 1) // tel_iv) * tel_iv
@@ -970,7 +977,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 next_ret = returns[0][0] if returns else never
             if next_due <= t:
                 while due and due[0] >> n <= t:
-                    free += 1
+                    free += quanta
                     ok_mask |= due_popleft() & full
                 next_due = due[0] >> n if due else never
             if next_sample <= t:
@@ -982,7 +989,17 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             started = False
             wave = 0
             min_future = never
-            if not pend_mask or not free:
+            if chain and (t in chain or not chain.isdisjoint(
+                    [t + off for off in chain_offsets])):
+                if t in chain:
+                    chain.discard(t)
+                    started = True  # a chain continuation owns the cycle
+                else:
+                    # A new wave's own chain would collide: nothing starts,
+                    # and the next cycle is re-checked (min_future wakes
+                    # t + 1).
+                    min_future = t
+            elif not pend_mask or free < quanta:
                 # No eligible pending store can start a wave (none pending,
                 # or no free address), so only a plain read can go — skip
                 # the gather/urgent/EDF machinery.  This covers the
@@ -1040,7 +1057,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     # credited with an empty queue.
                     deadline += 1
                     uid = pend_uid[best_i]
-                    free -= 1
+                    free -= quanta
                     if free < min_free:
                         min_free = free
                     pend_uid[best_i] = -1
@@ -1062,6 +1079,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         write_waves += 1
                         if tel:
                             wlog_append((t, _STORE, uid, best_i, j, best_arr))
+                        if multi:
+                            for off in chain_offsets:
+                                chain_add(t + off)
                         if t + w > busy_until:
                             busy_until = t + w
                         started = True
@@ -1096,7 +1116,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     ci = i
                                     ca = a
                             uid = pend_uid[ci]
-                            free -= 1
+                            free -= quanta
                             if free < min_free:
                                 min_free = free
                             pend_uid[ci] = -1
@@ -1127,7 +1147,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     sd = dd
                         rr_in = sel + 1 if sel + 1 < n else 0
                         uid = pend_uid[sel]
-                        free -= 1
+                        free -= quanta
                         if free < min_free:
                             min_free = free
                         pend_uid[sel] = -1
@@ -1140,6 +1160,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         write_waves += 1
                         if tel:
                             wlog_append((t, _STORE, uid, sel, d, sa))
+                        if multi:
+                            for off in chain_offsets:
+                                chain_add(t + off)
                         if t + w > busy_until:
                             busy_until = t + w
                         started = True
@@ -1169,6 +1192,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 if tail > busy_until:
                     busy_until = tail
                 started = True
+                if multi:
+                    for off in chain_offsets:
+                        chain_add(t + off)
                 if inline_deps and tail < stop:
                     head = t + 1 + extra
                     if head >= warmup:
@@ -1214,73 +1240,108 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     wlog_append((t, wave, uid, src, j, arr_q))
                 else:
                     pending_append((tail, uid, arr_q, src, j, t))
-            # -- phase 4: arrivals ---------------------------------------------
-            if next_arr == t:
-                while ai < n_arr and arr_c[ai] == t:
-                    i = arr_l[ai]
-                    d = arr_d[ai]
-                    ai += 1
-                    ibit = 1 << i
-                    if pend_mask & ibit:
-                        if pend_arr[i] >= warmup:
-                            dropped += 1
-                        overruns += 1
-                        unobstructed.discard(pend_uid[i])
-                        if tel:
-                            dlog_append((t, pend_uid[i], i, pend_dst[i],
-                                         _HEAD, pend_arr[i]))
-                    uid = next_uid
-                    next_uid += 1
-                    stream_end[i] = t + w
-                    if policy_trivial:
-                        admitted = True
-                    else:
-                        held = [
-                            len(qq) + (1 if next_ok[jj] > t else 0)
-                            for jj, qq in enumerate(queues)
-                        ]
-                        admitted = policy_admit(d, free, held, 1)
-                    if admitted:
-                        pend_uid[i] = uid
-                        pend_dst[i] = d
-                        pend_dbit[i] = 1 << d
-                        pend_arr[i] = t
-                        pend_mask |= ibit
-                    if t >= warmup:
-                        offered += 1
-                        if (admitted and next_ok[d] <= t + 1
-                                and not nonempty_mask >> d & 1):
-                            clear = True
-                            others = pend_mask ^ ibit
-                            try:
-                                obits = bits[others]
-                            except KeyError:
-                                obits = _fill_bits(bits, others)
-                            for k in obits:
-                                if pend_dst[k] == d:
-                                    clear = False
-                                    break
-                            if clear:
-                                unobstructed.add(uid)
-                    if not admitted:
-                        # The head-overrun branch above relies on the new
-                        # pend overwriting the old; a refusal creates no
-                        # pend, so clear the overrun one explicitly.
-                        pend_uid[i] = -1
-                        pend_mask &= ~ibit
+            # -- phase 4: arrivals and §3.5 quantum-boundary checks ------------
+            if next_p4 == t:
+                # Both come in input-link order; a check at t + m*B drops
+                # a store still pending when the packet's next quantum
+                # reuses the input latch.
+                ci = nc = 0
+                if next_qc == t:
+                    checks = []
+                    while qchecks and qchecks[0][0] == t:
+                        checks.append(heappop(qchecks)[1])
+                    nc = len(checks)
+                while True:
+                    if (ai < n_arr and arr_c[ai] == t
+                            and (ci == nc or arr_l[ai] < checks[ci])):
+                        i = arr_l[ai]
+                        d = arr_d[ai]
+                        ai += 1
+                        ibit = 1 << i
+                        if pend_mask & ibit:
+                            if pend_arr[i] >= warmup:
+                                dropped += 1
+                            overruns += 1
+                            unobstructed.discard(pend_uid[i])
+                            if tel:
+                                dlog_append((t, pend_uid[i], i, pend_dst[i],
+                                             _HEAD, pend_arr[i]))
+                        uid = next_uid
+                        next_uid += 1
+                        stream_end[i] = t + w
+                        if policy_trivial:
+                            admitted = True
+                        else:
+                            held = [
+                                len(qq) + (1 if next_ok[jj] > t else 0)
+                                for jj, qq in enumerate(queues)
+                            ]
+                            admitted = policy_admit(d, free, held, quanta)
+                        if admitted:
+                            if multi:
+                                for off in chain_offsets:
+                                    heappush(qchecks, (t + off, i))
+                            pend_uid[i] = uid
+                            pend_dst[i] = d
+                            pend_dbit[i] = 1 << d
+                            pend_arr[i] = t
+                            pend_mask |= ibit
                         if t >= warmup:
-                            dropped += 1
-                        policy_drops += 1
+                            offered += 1
+                            if (admitted and next_ok[d] <= t + 1
+                                    and not nonempty_mask >> d & 1):
+                                clear = True
+                                others = pend_mask ^ ibit
+                                try:
+                                    obits = bits[others]
+                                except KeyError:
+                                    obits = _fill_bits(bits, others)
+                                for k in obits:
+                                    if pend_dst[k] == d:
+                                        clear = False
+                                        break
+                                if clear:
+                                    unobstructed.add(uid)
+                        if not admitted:
+                            # The head-overrun branch above relies on the new
+                            # pend overwriting the old; a refusal creates no
+                            # pend, so clear the overrun one explicitly.
+                            pend_uid[i] = -1
+                            pend_mask &= ~ibit
+                            if t >= warmup:
+                                dropped += 1
+                            policy_drops += 1
+                            if tel:
+                                dlog_append((t, uid, i, d, _POLICY, t))
                         if tel:
-                            dlog_append((t, uid, i, d, _POLICY, t))
-                    if tel:
-                        alog_append((t, uid, i, d))
+                            alog_append((t, uid, i, d))
+                    elif ci < nc:
+                        i = checks[ci]
+                        ci += 1
+                        if pend_mask >> i & 1:
+                            if pend_arr[i] >= warmup:
+                                dropped += 1
+                            overruns += 1
+                            uid = pend_uid[i]
+                            unobstructed.discard(uid)
+                            if tel:
+                                dlog_append((t, uid, i, pend_dst[i],
+                                             _QUANTUM, pend_arr[i]))
+                            pend_uid[i] = -1
+                            pend_mask ^= 1 << i
+                    else:
+                        break
                 next_arr = arr_c[ai] if ai < n_arr else never
+                if multi:
+                    next_qc = qchecks[0][0] if qchecks else never
+                next_p4 = next_arr if next_arr < next_qc else next_qc
                 # A pend created this cycle becomes eligible at t + 1; fold
                 # it into the idle-skip wake target.
                 if t < min_future:
                     min_future = t
             if draining and not pend_mask and not nonempty_mask:
+                if not started:
+                    idle += 1
                 t += 1
                 break
             # -- advance: one cycle, or skip a provably idle span --------------
@@ -1289,8 +1350,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 continue
             idle += 1
             target = stop
-            if next_arr < target:
-                target = next_arr
+            if next_p4 < target:
+                target = next_p4
             if next_due < target:
                 target = next_due
             if next_ret < target:
@@ -1301,6 +1362,10 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     target = c
             if next_sample < target:
                 target = next_sample
+            if chain:
+                c = min(chain)
+                if c < target:
+                    target = c
             if target <= t + 1:
                 t += 1
             else:
