@@ -302,7 +302,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # further-specialized engine whose round-robin scans are bitmask
         # picks and whose next-wave-ok expiries are due events (see
         # _advance_window_lean).
-        self._lean = config.cut_through
+        self._lean = True
         # Mask caches filled on first use (see _fill_bits / _fill_first).
         self._bits: dict[int, tuple[int, ...]] = {}
         self._first: list[dict[int, int]] = [{} for _ in range(n)]
@@ -862,6 +862,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # _flush, which also replays every departure from the wave log.
         # Multi-quantum state (§3.5): reserved chain slots and the
         # quantum-boundary check heap, both empty when quanta == 1.
+        cut_through = self.config.cut_through
+        ct_one = 1 if cut_through else 0
         quanta = self._quanta
         multi = quanta > 1
         chain = self._chain
@@ -943,12 +945,24 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # consequences; _free_due stays empty on this engine, and is_empty/
         # drain are covered by busy_until, which bounds every due.  New dues
         # land at t + W with t increasing, so the deque stays sorted.
+        #
+        # Under store-and-forward nonempty_mask means "the queue head is
+        # stored": a store into an empty queue sets the bit only at its
+        # completion, a store-due event (sdue) at winit + W.  Later entries
+        # are stored before the head's read frees the output again, so the
+        # head is the only store that can be incomplete.  There are no
+        # cut-through candidates: pend_dbit holds 0 instead of 1 << dst.
         ok_mask = nonempty_mask = credit_mask = pend_mask = 0
+        heads: list[int] = []
         for j in range(n):
             if next_ok[j] <= t:
                 ok_mask |= 1 << j
-            if queues[j]:
-                nonempty_mask |= 1 << j
+            q = queues[j]
+            if q:
+                if cut_through or q[0][2] + w <= t:
+                    nonempty_mask |= 1 << j
+                else:
+                    heads.append((q[0][2] + w) << n | 1 << j)
             if out_credits[j] != 0:
                 credit_mask |= 1 << j
             if pend_uid[j] >= 0:
@@ -966,6 +980,12 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             next_sample = ((t + tel_iv - 1) // tel_iv) * tel_iv
         else:
             next_sample = never
+        sdue = deque(sorted(heads))
+        sdue_append = sdue.append
+        next_sdue = sdue[0] >> n if sdue else never
+        # One sentinel for the two rare phase-0 events (sampling instants
+        # and store completions), so the common loop pays one compare.
+        next_aux = next_sample if next_sample < next_sdue else next_sdue
 
         while t < stop:
             # -- phase 0: due consequences of past departures ------------------
@@ -980,11 +1000,17 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     free += quanta
                     ok_mask |= due_popleft() & full
                 next_due = due[0] >> n if due else never
-            if next_sample <= t:
-                sample_log.append((t, free, tuple(out_credits),
-                                   tuple(len(q) for q in queues),
-                                   len(drop_log), addresses - min_free))
-                next_sample += tel_iv
+            if next_aux <= t:
+                if next_sdue <= t:
+                    while sdue and sdue[0] >> n <= t:
+                        nonempty_mask |= sdue.popleft() & full
+                    next_sdue = sdue[0] >> n if sdue else never
+                if next_sample <= t:
+                    sample_log.append((t, free, tuple(out_credits),
+                                       tuple(len(q) for q in queues),
+                                       len(drop_log), addresses - min_free))
+                    next_sample += tel_iv
+                next_aux = next_sample if next_sample < next_sdue else next_sdue
             # -- phase 2: arbitration ------------------------------------------
             started = False
             wave = 0
@@ -1066,7 +1092,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         accepted += 1
                     j = pend_dst[best_i]
                     bit = 1 << j
-                    if avail & bit and not nonempty_mask & bit:
+                    if avail & dst_mask & bit and not nonempty_mask & bit:
                         rr_out = j + 1 if j + 1 < n else 0
                         ct_waves += 1
                         arr_q = best_arr
@@ -1074,8 +1100,16 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         wave = _CT
                     else:
                         rr_in = best_i + 1 if best_i + 1 < n else 0
-                        queues[j].append((uid, best_arr, t, best_i))
-                        nonempty_mask |= bit
+                        q = queues[j]
+                        if cut_through:
+                            nonempty_mask |= bit
+                        elif not q:
+                            sdue_append((t + w) << n | bit)
+                            if next_sdue == never:
+                                next_sdue = t + w
+                                if next_sdue < next_aux:
+                                    next_aux = next_sdue
+                        q.append((uid, best_arr, t, best_i))
                         write_waves += 1
                         if tel:
                             wlog_append((t, _STORE, uid, best_i, j, best_arr))
@@ -1155,8 +1189,16 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         if sa >= warmup:
                             accepted += 1
                         d = pend_dst[sel]
-                        queues[d].append((uid, sa, t, sel))
-                        nonempty_mask |= 1 << d
+                        q = queues[d]
+                        if cut_through:
+                            nonempty_mask |= 1 << d
+                        elif not q:
+                            sdue_append((t + w) << n | 1 << d)
+                            if next_sdue == never:
+                                next_sdue = t + w
+                                if next_sdue < next_aux:
+                                    next_aux = next_sdue
+                        q.append((uid, sa, t, sel))
                         write_waves += 1
                         if tel:
                             wlog_append((t, _STORE, uid, sel, d, sa))
@@ -1283,13 +1325,13 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     heappush(qchecks, (t + off, i))
                             pend_uid[i] = uid
                             pend_dst[i] = d
-                            pend_dbit[i] = 1 << d
+                            pend_dbit[i] = ct_one << d
                             pend_arr[i] = t
                             pend_mask |= ibit
                         if t >= warmup:
                             offered += 1
                             if (admitted and next_ok[d] <= t + 1
-                                    and not nonempty_mask >> d & 1):
+                                    and not queues[d]):
                                 clear = True
                                 others = pend_mask ^ ibit
                                 try:
@@ -1339,7 +1381,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 # it into the idle-skip wake target.
                 if t < min_future:
                     min_future = t
-            if draining and not pend_mask and not nonempty_mask:
+            if draining and not pend_mask and not nonempty_mask and not sdue:
                 if not started:
                     idle += 1
                 t += 1
@@ -1360,8 +1402,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 c = min_future + 1
                 if c < target:
                     target = c
-            if next_sample < target:
-                target = next_sample
+            if next_aux < target:
+                target = next_aux
             if chain:
                 c = min(chain)
                 if c < target:
