@@ -790,7 +790,6 @@ def _snap_batch(sw: Any) -> dict:
         "queues": [[list(item) for item in q] for q in sw._queues],
         "pend_uid": list(sw._pend_uid),
         "pend_dst": list(sw._pend_dst),
-        "pend_dbit": list(sw._pend_dbit),
         "pend_arr": list(sw._pend_arr),
         "credits": list(sw._credits),
         "stream_end": list(sw._stream_end),
@@ -799,14 +798,13 @@ def _snap_batch(sw: Any) -> dict:
         "rr_out": sw._rr_out,
         "rr_in": sw._rr_in,
         "busy_until": sw._busy_until,
-        "free_due": list(sw._free_due),
         "next_wave_ok": list(sw.next_wave_ok),
         "out_credits": list(sw._out_credits),
         "credit_returns": [list(x) for x in sw._credit_returns],
         "pending_departures": [list(x) for x in sw._pending_departures],
         # (cycle, output) pairs: independent of the in-memory bit encoding
         "due": [[e >> sw._n, (e & ((1 << sw._n) - 1)).bit_length() - 1]
-                for e in sw._lean_due],
+                for e in sw._due],
         "idle_flushed": sw._idle_flushed,
         "deadline_flushed": sw._deadline_flushed,
         "tape_next_poll": (sw._tape._next_poll
@@ -828,15 +826,14 @@ def _restore_batch(
     if body.get("jit"):
         # Older documents may come from the batch kernel's compiled array
         # core, since removed; its state (the unfired due mask) has no
-        # counterpart on the lean or general engine.
+        # counterpart in the window engine.
         raise CheckpointUnsupportedError(
             "snapshot was taken on the batch kernel's array core "
             "(\"jit\": true), which has been removed; re-run the cell "
             "from the start"
         )
     # Construct with the restored telemetry *before* overwriting state: the
-    # constructor selects the lean or general engine from telemetry
-    # presence and resolves metric handles against the restored registry.
+    # constructor resolves metric handles against the restored registry.
     sw = BatchPipelinedSwitch(cfg, source, telemetry=telemetry,
                               sanitizer=None,
                               batch_cycles=body["batch_cycles"])
@@ -847,7 +844,10 @@ def _restore_batch(
     sw._queues = [deque(tuple(item) for item in q) for q in body["queues"]]
     sw._pend_uid = list(body["pend_uid"])
     sw._pend_dst = list(body["pend_dst"])
-    sw._pend_dbit = list(body["pend_dbit"])
+    # Derived state, never read from the document: the engine that wrote
+    # older documents did not always keep it current.
+    sw._pend_dbit = [(1 << d) if cfg.cut_through else 0
+                     for d in sw._pend_dst]
     sw._pend_arr = list(body["pend_arr"])
     sw._credits = list(body["credits"])
     sw._stream_end = list(body["stream_end"])
@@ -856,7 +856,6 @@ def _restore_batch(
     sw._rr_out = body["rr_out"]
     sw._rr_in = body["rr_in"]
     sw._busy_until = body["busy_until"]
-    sw._free_due = deque(body["free_due"])
     sw.next_wave_ok = list(body["next_wave_ok"])
     sw._out_credits = list(body["out_credits"])
     sw._credit_returns = deque(tuple(x) for x in body["credit_returns"])
@@ -865,10 +864,14 @@ def _restore_batch(
     if "due" in body:
         due = body["due"]
     else:
-        # Older documents encode lean dues as cycle << 12 | output bit.
-        due = [(e >> 12, (e & 4095).bit_length() - 1)
-               for e in body["lean_due"]]
-    sw._lean_due = deque(c << cfg.n | 1 << j for c, j in due)
+        # Older documents come from one of two engines.  One encoded its
+        # due events as cycle << 12 | output bit; the other kept only the
+        # release cycles, each of which is the next_wave_ok of the output
+        # whose wave it releases (one wave starts per cycle).
+        due = sorted(
+            [(e >> 12, (e & 4095).bit_length() - 1) for e in body["lean_due"]]
+            + [(c, sw.next_wave_ok.index(c)) for c in body["free_due"]])
+    sw._due = deque(c << cfg.n | 1 << j for c, j in due)
     sw._idle_flushed = body["idle_flushed"]
     sw._deadline_flushed = body["deadline_flushed"]
     if body["tape_next_poll"] is not None:

@@ -184,6 +184,11 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
     equivalence tests assert by sweeping it, including ``batch_cycles=1``.
     """
 
+    #: Every shape runs on the one bitmask window engine.  Kept because
+    #: external tooling (the benchmark tracer, E18) reads it to label the
+    #: engine.
+    _lean = True
+
     def __init__(
         self,
         config: PipelinedSwitchConfig,
@@ -242,7 +247,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         ]
         self._pend_uid = [-1] * n
         self._pend_dst = [0] * n
-        self._pend_dbit = [1] * n  # 1 << dst, kept in sync with _pend_dst
+        # 1 << dst for a pending store that may cut through (0 under
+        # store-and-forward), rebuilt from _pend_dst on restore.
+        self._pend_dbit = [0] * n  # drc: checkpoint-exempt
         self._pend_arr = [0] * n
         self._credits = [config.credits_per_input or 0] * n
         self._stream_end = [0] * n  # cycle each link's current packet tape ends
@@ -251,7 +258,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._rr_out = 0
         self._rr_in = 0
         self._busy_until = -1
-        self._free_due: deque[int] = deque()
         self._out_credits = [
             config.downstream_credits if config.downstream_credits is not None else -1
         ] * n
@@ -287,22 +293,15 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             tuple[int, int, tuple[int, ...], tuple[int, ...], int, int]
         ] = []
         self._pending_departures: deque[tuple[int, int, int, int, int, int]] = deque()
-        # Lean-engine due deque: (cycle, output) events at which a CT/read
-        # wave's output becomes usable again and its address releases (both
-        # land on t0 + W).  Persisted across windows; replaces _free_due,
-        # which stays empty on the lean engine.
-        # Due events for the lean engine, encoded (cycle << n | output bit)
-        # so the hot loop never builds or unpacks tuples.
-        self._lean_due: deque[int] = deque()
+        # Due events (cycle, output) at which a CT/read wave's output becomes
+        # usable again and its quanta addresses release (both land on
+        # t0 + W), encoded cycle << n | output bit so the hot loop never
+        # builds or unpacks tuples.  Persisted across windows.
+        self._due: deque[int] = deque()
         self._idle_flushed = 0
         self._deadline_flushed = 0
         self.attach_telemetry(telemetry)
         self.attach_sanitizer(sanitizer)
-        # Single-quantum cut-through with telemetry off runs on a
-        # further-specialized engine whose round-robin scans are bitmask
-        # picks and whose next-wave-ok expiries are due events (see
-        # _advance_window_lean).
-        self._lean = True
         # Mask caches filled on first use (see _fill_bits / _fill_first).
         self._bits: dict[int, tuple[int, ...]] = {}
         self._first: list[dict[int, int]] = [{} for _ in range(n)]
@@ -315,8 +314,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         return [len(q) for q in self._queues]
 
     def _peak_occupancy(self) -> int:
-        # Only the general engine maintains this: the lean engine exists for
-        # the telemetry-off shape, where the gauge is never sampled.
+        # The window engine folds its running minimum of free addresses
+        # into this at every window end.
         return self._peak_occ
 
     # -- public API -----------------------------------------------------------
@@ -374,8 +373,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 target = max(self.cycle, self._busy_until + 1, *self._stream_end)
                 if self._chain:
                     target = max(target, max(self._chain) + 1)
-                if self._free_due:
-                    target = max(target, self._free_due[-1] + 1)
                 self._advance_window(target, no_arrivals, no_arrivals,
                                      no_arrivals)
             else:
@@ -392,7 +389,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
     def is_empty(self) -> bool:
         return (
             self._free == self.config.addresses
-            and not self._free_due
             and not self._chain
             and self.cycle > self._busy_until
             and all(self.cycle >= e for e in self._stream_end)
@@ -413,419 +409,15 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
 
         Scalar skip-ahead core: one iteration per *actionable* cycle, with
         idle spans between them accounted in closed form.  State lives in
-        hoisted locals; statistics/telemetry consequences are appended to
-        the window logs and applied by :meth:`_flush`.
-        """
-        if self._lean:
-            self._advance_window_lean(stop, arr_c, arr_l, arr_d, draining)
-            return
-        t = self.cycle
-        n = self._n
-        b = self._b
-        w = self._w
-        quanta = self._quanta
-        extra = self._extra
-        rtt = self.config.downstream_rtt
-        cut_through = self.config.cut_through
-        free = self._free
-        addresses = self.config.addresses
-        peak_occ = self._peak_occ
-        free_due = self._free_due
-        returns = self._credit_returns
-        queues = self._queues
-        next_ok = self.next_wave_ok
-        out_credits = self._out_credits
-        chain = self._chain
-        chain_offsets = self._chain_offsets
-        pend_uid = self._pend_uid
-        pend_arr = self._pend_arr
-        pend_dst = self._pend_dst
-        stream_end = self._stream_end
-        qchecks = self._qchecks
-        unobstructed = self._unobstructed
-        warmup = self.stats.warmup
-        next_uid = self._next_uid
-        rr_out = self._rr_out
-        rr_in = self._rr_in
-        busy_until = self._busy_until
-        wlog_append = self._wave_log.append
-        dlog_append = self._drop_log.append
-        alog_append = self._arrive_log.append
-        sample_log = self._sample_log
-        policy_trivial = self._policy_trivial
-        policy_admit = self.policy.admit
-        offered = accepted = dropped = 0
-        idle = 0
-        deadline = 0
-        write_waves = ct_waves = read_waves = 0
-        overruns = 0
-        policy_drops = 0
-        ai = 0
-        n_arr = len(arr_c)
-        tel_iv = self.telemetry.sample_interval if self._tel else 0
-        if tel_iv:
-            next_sample = ((t + tel_iv - 1) // tel_iv) * tel_iv
-        else:
-            next_sample = stop
-
-        while t < stop:
-            # -- phase 0: due consequences of past departures ------------------
-            while returns and returns[0][0] <= t:
-                out_credits[returns.popleft()[1]] += 1
-            while free_due and free_due[0] <= t:
-                free_due.popleft()
-                free += quanta
-            if t == next_sample:
-                sample_log.append((t, free, tuple(out_credits),
-                                   tuple(len(q) for q in queues),
-                                   len(self._drop_log), peak_occ))
-                next_sample += tel_iv
-            # -- phase 1: departures are log-derived (see _flush) --------------
-            # -- phase 2: arbitration ------------------------------------------
-            started = False
-            if t in chain:
-                chain.discard(t)
-                started = True  # chain continuation owns the cycle
-            else:
-                chain_free = True
-                if chain:
-                    for off in chain_offsets:
-                        if t + off in chain:
-                            chain_free = False
-                            break
-                have_writes = False
-                urgent_i = -1
-                urgent_arr = 0
-                ct_best: dict[int, tuple[int, int]] | None = None
-                if chain_free and free >= quanta:
-                    for i in range(n):
-                        if pend_uid[i] < 0:
-                            continue
-                        arr = pend_arr[i]
-                        if arr >= t:
-                            continue
-                        have_writes = True
-                        if arr + b <= t and (urgent_i < 0 or arr < urgent_arr):
-                            urgent_i = i
-                            urgent_arr = arr
-                        if cut_through:
-                            d = pend_dst[i]
-                            if ct_best is None:
-                                ct_best = {d: (arr, i)}
-                            elif d not in ct_best or arr < ct_best[d][0]:
-                                ct_best[d] = (arr, i)
-                wr_i = -1  # plain-store input chosen this cycle
-                ct_i = -1  # cut-through input and output chosen this cycle
-                ct_j = -1
-                if urgent_i >= 0:
-                    j = pend_dst[urgent_i]
-                    if (
-                        ct_best is not None
-                        and ct_best.get(j, (0, -1))[1] == urgent_i
-                        and not queues[j]
-                        and next_ok[j] <= t
-                        and out_credits[j] != 0
-                    ):
-                        rr_out = (j + 1) % n
-                        ct_i = urgent_i
-                        ct_j = j
-                    else:
-                        rr_in = (urgent_i + 1) % n
-                        wr_i = urgent_i
-                else:
-                    if chain_free:
-                        for off in range(n):
-                            j = rr_out + off
-                            if j >= n:
-                                j -= n
-                            if next_ok[j] > t or out_credits[j] == 0:
-                                continue
-                            q = queues[j]
-                            if q:
-                                if not cut_through and q[0][2] + w > t:
-                                    continue  # store-and-forward: not stored yet
-                                rr_out = (j + 1) % n
-                                uid, arr_q, _winit, src = q.popleft()
-                                for off2 in chain_offsets:
-                                    chain.add(t + off2)
-                                next_ok[j] = t + w
-                                if out_credits[j] >= 0:
-                                    out_credits[j] -= 1
-                                    returns.append((t + w + rtt, j))
-                                free_due.append(t + w)
-                                tail = t + w + extra
-                                if tail > busy_until:
-                                    busy_until = tail
-                                read_waves += 1
-                                wlog_append((t, _READ, uid, src, j, arr_q))
-                                started = True
-                                break
-                            if ct_best is not None and j in ct_best:
-                                rr_out = (j + 1) % n
-                                ct_i = ct_best[j][1]
-                                ct_j = j
-                                break
-                    if not started and ct_i < 0 and have_writes:
-                        best = -1
-                        best_arr = 0
-                        for off in range(n):
-                            i2 = rr_in + off
-                            if i2 >= n:
-                                i2 -= n
-                            if pend_uid[i2] >= 0 and pend_arr[i2] < t:
-                                if best < 0 or pend_arr[i2] < best_arr:
-                                    best = i2
-                                    best_arr = pend_arr[i2]
-                        rr_in = (best + 1) % n
-                        wr_i = best
-                # Shared store consequences (plain or cut-through write).
-                if ct_i >= 0 or wr_i >= 0:
-                    i = ct_i if ct_i >= 0 else wr_i
-                    uid = pend_uid[i]
-                    arr = pend_arr[i]
-                    if arr + b <= t:
-                        deadline += 1
-                    free -= quanta
-                    occ = addresses - free
-                    if occ > peak_occ:
-                        peak_occ = occ
-                    pend_uid[i] = -1
-                    if arr >= warmup:
-                        accepted += 1
-                    for off2 in chain_offsets:
-                        chain.add(t + off2)
-                    if ct_i >= 0:
-                        next_ok[ct_j] = t + w
-                        if out_credits[ct_j] >= 0:
-                            out_credits[ct_j] -= 1
-                            returns.append((t + w + rtt, ct_j))
-                        free_due.append(t + w)
-                        tail = t + w + extra
-                        if tail > busy_until:
-                            busy_until = tail
-                        ct_waves += 1
-                        wlog_append((t, _CT, uid, i, ct_j, arr))
-                    else:
-                        queues[pend_dst[i]].append((uid, arr, t, i))
-                        write_waves += 1
-                        wlog_append((t, _STORE, uid, i, pend_dst[i], arr))
-                        if t + w > busy_until:
-                            busy_until = t + w
-                    started = True
-                if not started:
-                    idle += 1
-            # -- phase 4: arrivals and quantum-boundary checks -----------------
-            if ai < n_arr and arr_c[ai] == t:
-                if quanta == 1 and not (qchecks and qchecks[0][0] == t):
-                    while ai < n_arr and arr_c[ai] == t:
-                        i = arr_l[ai]
-                        d = arr_d[ai]
-                        ai += 1
-                        if pend_uid[i] >= 0:
-                            if pend_arr[i] >= warmup:
-                                dropped += 1
-                            overruns += 1
-                            unobstructed.discard(pend_uid[i])
-                            dlog_append((t, pend_uid[i], i, pend_dst[i],
-                                         _HEAD, pend_arr[i]))
-                            pend_uid[i] = -1
-                        uid = next_uid
-                        next_uid += 1
-                        stream_end[i] = t + w
-                        if policy_trivial:
-                            admitted = True
-                        else:
-                            held = [
-                                len(qq) + (1 if next_ok[jj] > t else 0)
-                                for jj, qq in enumerate(queues)
-                            ]
-                            admitted = policy_admit(d, free, held, quanta)
-                        if admitted:
-                            pend_uid[i] = uid
-                            pend_dst[i] = d
-                            pend_arr[i] = t
-                        if t >= warmup:
-                            offered += 1
-                            if (
-                                admitted
-                                and next_ok[d] <= t + 1
-                                and not queues[d]
-                            ):
-                                clear = True
-                                for k in range(n):
-                                    if (k != i and pend_uid[k] >= 0
-                                            and pend_dst[k] == d):
-                                        clear = False
-                                        break
-                                if clear:
-                                    unobstructed.add(uid)
-                        if not admitted:
-                            if t >= warmup:
-                                dropped += 1
-                            policy_drops += 1
-                            dlog_append((t, uid, i, d, _POLICY, t))
-                        alog_append((t, uid, i, d))
-                else:
-                    # Multi-quantum path: merge packet starts and §3.5
-                    # quantum-boundary checks in input-link order.
-                    events: list[tuple[int, int, int]] = []
-                    while ai < n_arr and arr_c[ai] == t:
-                        events.append((arr_l[ai], 0, arr_d[ai]))
-                        ai += 1
-                    while qchecks and qchecks[0][0] == t:
-                        events.append((heappop(qchecks)[1], 1, -1))
-                    events.sort()
-                    for i, is_check, d in events:
-                        if is_check:
-                            if pend_uid[i] >= 0:
-                                if pend_arr[i] >= warmup:
-                                    dropped += 1
-                                overruns += 1
-                                unobstructed.discard(pend_uid[i])
-                                dlog_append((t, pend_uid[i], i, pend_dst[i],
-                                             _QUANTUM, pend_arr[i]))
-                                pend_uid[i] = -1
-                            continue
-                        if pend_uid[i] >= 0:
-                            if pend_arr[i] >= warmup:
-                                dropped += 1
-                            overruns += 1
-                            unobstructed.discard(pend_uid[i])
-                            dlog_append((t, pend_uid[i], i, pend_dst[i],
-                                         _HEAD, pend_arr[i]))
-                            pend_uid[i] = -1
-                        uid = next_uid
-                        next_uid += 1
-                        stream_end[i] = t + w
-                        if policy_trivial:
-                            admitted = True
-                        else:
-                            held = [
-                                len(qq) + (1 if next_ok[jj] > t else 0)
-                                for jj, qq in enumerate(queues)
-                            ]
-                            admitted = policy_admit(d, free, held, quanta)
-                        if admitted:
-                            for m in range(1, quanta):
-                                heappush(qchecks, (t + m * b, i))
-                            pend_uid[i] = uid
-                            pend_dst[i] = d
-                            pend_arr[i] = t
-                        if t >= warmup:
-                            offered += 1
-                            if (admitted and next_ok[d] <= t + 1
-                                    and not queues[d]):
-                                clear = True
-                                for k in range(n):
-                                    if (k != i and pend_uid[k] >= 0
-                                            and pend_dst[k] == d):
-                                        clear = False
-                                        break
-                                if clear:
-                                    unobstructed.add(uid)
-                        if not admitted:
-                            if t >= warmup:
-                                dropped += 1
-                            policy_drops += 1
-                            dlog_append((t, uid, i, d, _POLICY, t))
-                        alog_append((t, uid, i, d))
-            elif qchecks and qchecks[0][0] == t:
-                while qchecks and qchecks[0][0] == t:
-                    i = heappop(qchecks)[1]
-                    if pend_uid[i] >= 0:
-                        if pend_arr[i] >= warmup:
-                            dropped += 1
-                        overruns += 1
-                        unobstructed.discard(pend_uid[i])
-                        dlog_append((t, pend_uid[i], i, pend_dst[i],
-                                     _QUANTUM, pend_arr[i]))
-                        pend_uid[i] = -1
-            if (
-                draining
-                and all(u < 0 for u in pend_uid)
-                and all(not q for q in queues)
-            ):
-                t += 1
-                break
-            # -- advance: one cycle, or skip a provably idle span --------------
-            if started:
-                t += 1
-                continue
-            target = stop
-            if ai < n_arr and arr_c[ai] < target:
-                target = arr_c[ai]
-            if qchecks and qchecks[0][0] < target:
-                target = qchecks[0][0]
-            if free_due and free_due[0] < target:
-                target = free_due[0]
-            if returns and returns[0][0] < target:
-                target = returns[0][0]
-            if chain:
-                c = min(chain)
-                if c < target:
-                    target = c
-            if next_sample < target:
-                target = next_sample
-            for i in range(n):
-                if pend_uid[i] >= 0:
-                    c = pend_arr[i] + 1
-                    if t < c < target:
-                        target = c
-                q = queues[i]
-                if q:
-                    c = next_ok[i]
-                    if c > t:
-                        if c < target:
-                            target = c
-                    elif not cut_through:
-                        c = q[0][2] + w
-                        if t < c < target:
-                            target = c
-            if target <= t + 1:
-                t += 1
-            else:
-                idle += target - 1 - t
-                t = target
-
-        # -- write back the hoisted state --------------------------------------
-        self._free = free
-        self._peak_occ = peak_occ
-        self._rr_out = rr_out
-        self._rr_in = rr_in
-        self._busy_until = busy_until
-        self._next_uid = next_uid
-        self.idle_cycles += idle
-        self.deadline_overrides += deadline
-        self.overrun_drops += overruns
-        self.policy_drops += policy_drops
-        self.write_waves += write_waves
-        self.cut_through_waves += ct_waves
-        self.plain_read_waves += read_waves
-        stats = self.stats
-        stats.offered += offered
-        stats.accepted += accepted
-        stats.dropped += dropped
-        self.cycle = t
-        stats.horizon = t
-
-    def _advance_window_lean(
-        self,
-        stop: int,
-        arr_c: list[int],
-        arr_l: list[int],
-        arr_d: list[int],
-        draining: bool = False,
-    ) -> None:
-        """Specialized engine for the dominant shape: single-quantum
-        cut-through with telemetry off.
-
-        Bit-identical to the general engine (the equivalence tests cover
-        both: telemetry rows run the general engine, bare-stats rows run
-        this one).  The round-robin output/input scans become O(1) bitmask
-        rotations, ``next_wave_ok`` expiries become a due-event deque so the
-        idle-skip target needs no per-output scan, and departure-bearing
-        waves append straight to the pending deque — with telemetry off no
-        per-window logs are built at all.
+        hoisted locals.  Per-output state is mirrored in bitmasks, so the
+        round-robin scans become cached mask picks; ``next_wave_ok``
+        expiries become a due-event deque, so the idle-skip target needs no
+        per-output scan.  With telemetry off, departures are applied inline
+        (or queued on the pending deque if they straddle the window) and no
+        log is built; with it on, waves, arrivals, drops and samples go to
+        the window logs that :meth:`_flush` replays.  Multi-quantum chains,
+        quantum-boundary checks and store-and-forward completions each sit
+        behind a hoisted sentinel, so a shape without them pays one test.
         """
         t = self.cycle
         n = self._n
@@ -856,20 +448,20 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         bits = self._bits
         first_rr = self._first
         stats = self.stats
-        # Telemetry: every collection site below sits behind ``tel``, so the
-        # telemetry-off loop pays one check per site and builds no logs.
-        # Telemetry-on windows log waves, arrivals, drops and samples for
-        # _flush, which also replays every departure from the wave log.
-        # Multi-quantum state (§3.5): reserved chain slots and the
-        # quantum-boundary check heap, both empty when quanta == 1.
         cut_through = self.config.cut_through
         ct_one = 1 if cut_through else 0
+        # Multi-quantum state (§3.5): reserved chain slots and the
+        # quantum-boundary check heap, both empty when quanta == 1.
         quanta = self._quanta
         multi = quanta > 1
         chain = self._chain
         chain_add = chain.add
         chain_offsets = self._chain_offsets
         qchecks = self._qchecks
+        # Telemetry: every collection site below sits behind ``tel``, so the
+        # telemetry-off loop pays one check per site and builds no logs.
+        # Telemetry-on windows log waves, arrivals, drops and samples for
+        # _flush, which also replays every departure from the wave log.
         tel = self._tel
         wlog_append = self._wave_log.append
         drop_log = self._drop_log
@@ -941,9 +533,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # <=> queue j has a packet, credit_mask <=> out_credits[j] != 0,
         # pend_mask <=> input j holds a pending store.  A CT/read wave at t0
         # both occupies the output and holds an address until exactly
-        # t0 + W, so one persistent due deque (self._lean_due) carries both
-        # consequences; _free_due stays empty on this engine, and is_empty/
-        # drain are covered by busy_until, which bounds every due.  New dues
+        # t0 + W, so one persistent due deque (self._due) carries both
+        # consequences; is_empty/drain are covered by busy_until, which
+        # bounds every due.  New dues
         # land at t + W with t increasing, so the deque stays sorted.
         #
         # Under store-and-forward nonempty_mask means "the queue head is
@@ -967,7 +559,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 credit_mask |= 1 << j
             if pend_uid[j] >= 0:
                 pend_mask |= 1 << j
-        due = self._lean_due
+        due = self._due
         due_append = due.append
         due_popleft = due.popleft
         next_due = due[0] >> n if due else never

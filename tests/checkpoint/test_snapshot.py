@@ -7,6 +7,7 @@ round trip, including k inside a batch window and mid-packet-chain.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,33 @@ def test_pre_removal_batch_doc_without_jit_resumes_identically():
 def test_pre_removal_batch_doc_with_jit_is_refused():
     with pytest.raises(CheckpointUnsupportedError, match="array core"):
         restore_switch(_pre_removal_batch_doc(jit=True))
+
+
+#: Version-2 batch snapshots written while the batch kernel had two window
+#: engines, each stored with the fingerprint that kernel reached after
+#: restoring the document and running ``resume_cycles`` more cycles.
+#: ``batch_general_v2``: n=4, quanta=2, telemetry on, saturating traffic,
+#: saved at cycle 151 with multi-quantum chains, quantum checks, buffer
+#: releases (``free_due``) and a pending store in flight.
+#: ``batch_lean_v2``: n=4, quanta=1, telemetry off, saturating traffic,
+#: saved at cycle 137 with due events (``lean_due``, encoded
+#: cycle << 12 | output bit) and pending departures in flight.
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name,state", [
+    ("batch_general_v2", ("chain", "free_due", "qchecks")),
+    ("batch_lean_v2", ("lean_due", "pending_departures")),
+])
+def test_two_engine_batch_doc_resumes_to_recorded_fingerprint(name, state):
+    fixture = json.loads((FIXTURES / f"{name}.json").read_text())
+    doc = fixture["doc"]
+    assert doc["kernel"] == "batch" and doc["version"] == 2
+    for key in state:  # the fixture really is mid-flight
+        assert doc["switch"][key], key
+    resumed = restore_switch(doc)
+    resumed.run(fixture["resume_cycles"])
+    assert fingerprint(resumed) == fixture["fingerprint"]
 
 
 # -- save/load plumbing -------------------------------------------------------
