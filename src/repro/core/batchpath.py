@@ -17,8 +17,10 @@ itself.  It advances the switch in *cycle batches*:
 * **Event-driven cycle skipping** — with the window's arrivals known in
   advance, the kernel only executes cycles on which the machine can act
   (an arrival, a due buffer release or credit return, an eligible pending
-  store, an eligible queued read, a reserved chain slot, a telemetry
-  sampling instant).  Idle spans between them are accounted in closed form.
+  store, an eligible queued read, a store completion under
+  store-and-forward, a reserved chain slot or quantum-boundary check, a
+  telemetry sampling instant).  Idle spans between them are accounted in
+  closed form.
 * **Batched statistics and telemetry** — per-cycle collection is replaced
   by per-window logs of wave admissions, arrivals and drops; every
   downstream consequence (departure cycles, latency accumulators, the full
@@ -31,6 +33,11 @@ itself.  It advances the switch in *cycle batches*:
   decisions feed each other (a read at ``t`` changes what is eligible at
   ``t+1``), so decision resolution stays sequential; everything around it
   is batched.
+* **One window engine for every shape** — any port count, multi-quantum
+  chains, store-and-forward, telemetry on or off.  Per-output state is
+  mirrored in bitmasks, and each feature a shape may lack sits behind a
+  hoisted flag or next-event sentinel, so the common single-quantum,
+  cut-through, telemetry-off shape pays one test per feature.
 
 The correctness contract is the three-way equivalence matrix
 (``tests/core/test_batchpath.py``): checked == fast == batch, bit for bit,
@@ -83,11 +90,8 @@ _HEAD, _QUANTUM, _POLICY = 0, 1, 2
 
 
 class ArrivalTape(Protocol):
-    """Window-batched view of a packet source (see BatchRenewalSource)."""
-
-    def batch_arrivals(
-        self, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    """Window-batched view of a packet source (see BatchRenewalSource):
+    the two calls the kernel makes."""
 
     def window_arrivals(
         self, start: int, stop: int
@@ -152,9 +156,10 @@ class _SaturatingTape:
 def _fill_bits(bits: dict[int, tuple[int, ...]], mask: int) -> tuple[int, ...]:
     """The set bits of ``mask`` ascending, cached in ``bits`` on first use.
 
-    Iterating a cached tuple runs at C level; the engine looks a mask up
-    with ``try: bits[mask]`` and calls this only on a miss, so a plain dict
-    hit (as fast as indexing a tuple) is the common path at any port count.
+    Iterating a cached tuple runs at C level.  The engine looks a mask up
+    with ``try: bits[mask]`` and calls this only on a miss.  The cache holds
+    only the masks a run meets, so it works at any port count, where a
+    table over all ``2**n`` masks does not.
     """
     found = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
     bits[mask] = found
@@ -535,8 +540,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # both occupies the output and holds an address until exactly
         # t0 + W, so one persistent due deque (self._due) carries both
         # consequences; is_empty/drain are covered by busy_until, which
-        # bounds every due.  New dues
-        # land at t + W with t increasing, so the deque stays sorted.
+        # bounds every due.  New dues land at t + W with t increasing, so
+        # the deque stays sorted.
         #
         # Under store-and-forward nonempty_mask means "the queue head is
         # stored": a store into an empty queue sets the bit only at its
@@ -578,6 +583,10 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # One sentinel for the two rare phase-0 events (sampling instants
         # and store completions), so the common loop pays one compare.
         next_aux = next_sample if next_sample < next_sdue else next_sdue
+        # Quantum checks due this cycle are checks[qi:qn]; each arrival
+        # cycle consumes them all, so qi == qn holds between check cycles.
+        checks: list[int] = []
+        qi = qn = 0
 
         while t < stop:
             # -- phase 0: due consequences of past departures ------------------
@@ -672,7 +681,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     # global minimum-arrival pend is necessarily its own
                     # output's best cut-through candidate, so the CT
                     # condition reduces to the output being free and
-                    # credited with an empty queue.
+                    # credited with an empty queue (dst_mask is empty
+                    # under store-and-forward, which never cuts through).
                     deadline += 1
                     uid = pend_uid[best_i]
                     free -= quanta
@@ -879,15 +889,15 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 # Both come in input-link order; a check at t + m*B drops
                 # a store still pending when the packet's next quantum
                 # reuses the input latch.
-                ci = nc = 0
                 if next_qc == t:
                     checks = []
                     while qchecks and qchecks[0][0] == t:
                         checks.append(heappop(qchecks)[1])
-                    nc = len(checks)
+                    qi = 0
+                    qn = len(checks)
                 while True:
                     if (ai < n_arr and arr_c[ai] == t
-                            and (ci == nc or arr_l[ai] < checks[ci])):
+                            and (qi == qn or arr_l[ai] < checks[qi])):
                         i = arr_l[ai]
                         d = arr_d[ai]
                         ai += 1
@@ -949,9 +959,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                 dlog_append((t, uid, i, d, _POLICY, t))
                         if tel:
                             alog_append((t, uid, i, d))
-                    elif ci < nc:
-                        i = checks[ci]
-                        ci += 1
+                    elif qi < qn:
+                        i = checks[qi]
+                        qi += 1
                         if pend_mask >> i & 1:
                             if pend_arr[i] >= warmup:
                                 dropped += 1
