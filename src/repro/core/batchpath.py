@@ -616,16 +616,14 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             started = False
             wave = 0
             min_future = never
-            if chain and (t in chain or not chain.isdisjoint(
-                    [t + off for off in chain_offsets])):
-                if t in chain:
-                    chain.discard(t)
-                    started = True  # a chain continuation owns the cycle
-                else:
-                    # A new wave's own chain would collide: nothing starts,
-                    # and the next cycle is re-checked (min_future wakes
-                    # t + 1).
-                    min_future = t
+            if chain and t in chain:
+                # A chain continuation owns the cycle.  A wave starting now
+                # would collide with a reserved slot t0 + m'*B only if
+                # t = t0 + k*B for some 0 < k < quanta - 1, which is itself
+                # a reserved slot of t0's chain and so owned here: no
+                # separate collision test is needed.
+                chain.discard(t)
+                started = True
             elif not pend_mask or free < quanta:
                 # No eligible pending store can start a wave (none pending,
                 # or no free address), so only a plain read can go — skip
