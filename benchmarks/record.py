@@ -4,10 +4,13 @@ Runs the E15-shaped functional workloads and the E13-shaped pipelined
 operating points with the checked model and the wave-level fast kernel,
 asserts that every statistic is bit-identical, and writes per-experiment
 wall time, cycles/sec, and speedup.  Workloads the batch kernel supports
-(drop-tail, tape-consumable traffic) are additionally run three-way — the
-arrival tape is replayed through all three kernels and the batch kernel's
-statistics must match bit for bit; credit-flow rows record ``batch: null``
-with the refusal reason.
+(tape-consumable traffic, with or without input credits) are additionally
+run three-way — the arrival tape is replayed through all three kernels and
+the batch kernel's statistics must match bit for bit; rows it refuses
+(saturating traffic under credit flow) record ``batch: null`` with its
+refusal reason.  The fast column is always the wave kernel, built
+directly: the ``pipelined_fast`` arch would pick the batch kernel for
+every row the batch kernel accepts.
 
 The timed runs keep telemetry at its default (off) so the recorded numbers
 track the kernels themselves; a separate short telemetry-on pass per
@@ -30,6 +33,8 @@ import platform
 import time
 from pathlib import Path
 
+from repro.core import make_pipelined_switch
+from repro.core.batchpath import batch_refusal
 from repro.scenario import Scenario, prepare
 from repro.telemetry import Telemetry
 
@@ -69,13 +74,28 @@ def _fingerprint(sw) -> dict:
     }
 
 
+def _prepare_checked(scenario: Scenario):
+    """The checked switch the registry builds: its config and fresh source
+    are what the other kernels are built from."""
+    return prepare(dataclasses.replace(scenario, arch="pipelined")).switch
+
+
 def _run(scenario: Scenario, kernel: str, telemetry: Telemetry | None = None):
-    """Build one kernel through the scenario registry, run it, time it."""
+    """Build one kernel through the scenario registry, run it, time it.
+
+    The wave kernel is built from the prepared config and source, so the
+    fast column never silently runs the batch kernel."""
     params = dict(scenario.params)
     if kernel == "batch":
         params["batch_cycles"] = BATCH_WINDOW
     sc = dataclasses.replace(scenario, arch=ARCHES[kernel], params=params)
-    sw = prepare(sc, telemetry=telemetry).switch
+    if kernel == "fast":
+        checked = _prepare_checked(sc)
+        sw = make_pipelined_switch(checked.config, checked.source,
+                                   kernel="fast", telemetry=telemetry)
+        sw.warmup = checked.warmup
+    else:
+        sw = prepare(sc, telemetry=telemetry).switch
     t0 = time.perf_counter()
     sw.run(sc.horizon)
     if sc.drain:
@@ -118,10 +138,10 @@ def _telemetry_pass(scenario: Scenario, cycles: int,
 
 
 def _batch_refusal(scenario: Scenario) -> str | None:
-    """Why the batch kernel cannot run this workload, or None if it can."""
-    if scenario.params.get("credit_flow"):
-        return "credit_flow gates source polling on switch state"
-    return None
+    """Why the batch kernel cannot run this workload's tape variant, or
+    None if it can."""
+    checked = _prepare_checked(_tape_variant(scenario))
+    return batch_refusal(checked.config, checked.source)
 
 
 def _experiments(scale: int) -> list[Scenario]:

@@ -792,6 +792,10 @@ def _snap_batch(sw: Any) -> dict:
         "pend_dst": list(sw._pend_dst),
         "pend_arr": list(sw._pend_arr),
         "credits": list(sw._credits),
+        "credit_due": [list(x) for x in sw._credit_due],
+        "credit_checks": [list(x) for x in sw._credit_checks],
+        "mute_at": list(sw._mute_at),
+        "held": [[list(x) for x in h] for h in sw._held],
         "stream_end": list(sw._stream_end),
         "chain": sorted(sw._chain),
         "qchecks": [list(x) for x in sw._qchecks],
@@ -850,6 +854,14 @@ def _restore_batch(
                      for d in sw._pend_dst]
     sw._pend_arr = list(body["pend_arr"])
     sw._credits = list(body["credits"])
+    # Input-credit state; documents from before the batch kernel modelled
+    # credit flow carry none, and need none.
+    sw._credit_due = deque(tuple(x) for x in body.get("credit_due", []))
+    sw._credit_checks = deque(tuple(x)
+                              for x in body.get("credit_checks", []))
+    sw._mute_at = list(body.get("mute_at", sw._mute_at))
+    sw._held = [[(c, d) for c, d in h]
+                for h in body.get("held", sw._held)]
     sw._stream_end = list(body["stream_end"])
     sw._chain = set(body["chain"])
     sw._qchecks = [tuple(x) for x in body["qchecks"]]

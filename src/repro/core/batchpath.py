@@ -34,37 +34,45 @@ itself.  It advances the switch in *cycle batches*:
   ``t+1``), so decision resolution stays sequential; everything around it
   is batched.
 * **One window engine for every shape** — any port count, multi-quantum
-  chains, store-and-forward, telemetry on or off.  Per-output state is
-  mirrored in bitmasks, and each feature a shape may lack sits behind a
-  hoisted flag or next-event sentinel, so the common single-quantum,
-  cut-through, telemetry-off shape pays one test per feature.
+  chains, store-and-forward, input credit flow, telemetry on or off.
+  Per-output state is mirrored in bitmasks, and each feature a shape may
+  lack sits behind a hoisted flag or next-event sentinel, so the common
+  single-quantum, cut-through, uncredited, telemetry-off shape pays one
+  test per feature.
+* **Input credits as a delayed token stream** — a credit returns a known
+  ``W - 1`` cycles after the wave that frees it starts, so the engine sees
+  it ahead.  A link that runs out of credit is checked at its next poll;
+  if still empty it is muted, its window arrivals are held back, and when
+  the credit returns its held arrivals and the rest of its tape shift by
+  the wait (``BatchRenewalSource.delay_link``).
 
 The correctness contract is the three-way equivalence matrix
 (``tests/core/test_batchpath.py``): checked == fast == batch, bit for bit,
 on statistics, wave counters, latency accumulators and telemetry streams.
 Configurations this kernel does not replicate exactly — non-READS_FIRST
-arbitration, input-credit flow control (which gates source polling on
-switch state and defeats window ingestion), per-cycle sources it cannot
-tape, an attached runtime sanitizer — are refused via
-:func:`~repro.core.fastpath.reject_unsupported`, never approximated.
+arbitration, per-cycle sources it cannot tape, the saturating tape under
+credit flow (its links share one stream, so muting one would reorder the
+draws), an attached runtime sanitizer — are named by :func:`batch_refusal`
+and refused via :func:`~repro.core.fastpath.reject_unsupported`, never
+approximated.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
-from typing import Protocol
+from itertools import compress
+from operator import not_
+from typing import Protocol, cast
 
 import numpy as np
 
-from repro.core.fastpath import (
-    ensure_wave_kernel_supported,
-    reject_unsupported,
-)
+from repro.core.fastpath import reject_unsupported, wave_kernel_refusal
 from repro.core.instrumentation import SwitchTelemetryMixin
 from repro.core.sources import BatchRenewalSource, PacketSource, SaturatingSource
-from repro.core.switch import PipelinedSwitchConfig
+from repro.core.switch import DeadlineMissedError, PipelinedSwitchConfig
 from repro.drc.sanitizer import Sanitizer
 from repro.sim.stats import Counter, Histogram, SwitchStats
 from repro.telemetry import (
@@ -175,6 +183,41 @@ def _fill_first(first: dict[int, int], ptr: int, mask: int) -> int:
     return j
 
 
+def batch_refusal(
+    config: PipelinedSwitchConfig,
+    source: PacketSource,
+    sanitizer: Sanitizer | None = None,
+) -> str | None:
+    """Why :class:`BatchPipelinedSwitch` refuses this configuration, or
+    ``None`` when it models it exactly.
+
+    The constructor raises with this reason; the ``pipelined_fast`` arch
+    builds the batch kernel whenever it is ``None`` and the wave kernel
+    otherwise.
+    """
+    reason = wave_kernel_refusal(config, source)
+    if reason is not None:
+        return reason
+    if sanitizer is not None and sanitizer.enabled:
+        return ("the runtime sanitizer hooks every cycle and wave, which the "
+                "batch kernel skips by design; sanitize on the checked or "
+                "wave-level kernel")
+    if isinstance(source, BatchRenewalSource):
+        return None
+    if not isinstance(source, SaturatingSource):
+        return (f"{type(source).__name__} is polled cycle by cycle and "
+                f"cannot be consumed as an arrival tape; use "
+                f"BatchRenewalSource (or SaturatingSource), or the "
+                f"wave-level FastPipelinedSwitch")
+    if config.credit_flow:
+        return ("input-credit flow control mutes links one by one, and "
+                "SaturatingSource draws every link from one shared stream, "
+                "so a muted link would reorder the draws; use "
+                "BatchRenewalSource, whose links draw independently, or the "
+                "wave-level FastPipelinedSwitch")
+    return None
+
+
 class BatchPipelinedSwitch(SwitchTelemetryMixin):
     """Cycle-batched kernel: bit-identical statistics at batch granularity.
 
@@ -202,33 +245,13 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         sanitizer: Sanitizer | None = None,
         batch_cycles: int = DEFAULT_BATCH_CYCLES,
     ) -> None:
-        ensure_wave_kernel_supported(_KERNEL, config, source)
-        if config.credit_flow:
-            raise reject_unsupported(
-                _KERNEL,
-                "input-credit flow control gates source polling on switch "
-                "state, which defeats window-batched arrival ingestion; use "
-                "the wave-level FastPipelinedSwitch",
-            )
-        if sanitizer is not None and sanitizer.enabled:
-            raise reject_unsupported(
-                _KERNEL,
-                "the runtime sanitizer hooks every cycle and wave, which the "
-                "batch kernel skips by design; sanitize on the checked or "
-                "wave-level kernel",
-            )
-        self._tape: ArrivalTape
-        if isinstance(source, BatchRenewalSource):
-            self._tape = source
-        elif isinstance(source, SaturatingSource):
-            self._tape = _SaturatingTape(source)
-        else:
-            raise reject_unsupported(
-                _KERNEL,
-                f"{type(source).__name__} is polled cycle by cycle and cannot "
-                f"be consumed as an arrival tape; use BatchRenewalSource (or "
-                f"SaturatingSource), or the wave-level FastPipelinedSwitch",
-            )
+        reason = batch_refusal(config, source, sanitizer)
+        if reason is not None:
+            raise reject_unsupported(_KERNEL, reason)
+        self._tape: ArrivalTape = (
+            source if isinstance(source, BatchRenewalSource)
+            else _SaturatingTape(cast(SaturatingSource, source))
+        )
         if batch_cycles < 1:
             raise reject_unsupported(
                 _KERNEL, f"batch_cycles must be >= 1, got {batch_cycles}"
@@ -257,6 +280,18 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._pend_dbit = [0] * n  # drc: checkpoint-exempt
         self._pend_arr = [0] * n
         self._credits = [config.credits_per_input or 0] * n
+        # Input credit flow (§4.2).  A departure-bearing wave at t0 returns
+        # its input's credit at t0 + W - 1 (_credit_due, (cycle, input)).
+        # An arrival at c that spends a link's last credit schedules a
+        # phase-4 check at c + W (_credit_checks, (cycle, link)); a link
+        # still without credit there is muted from that cycle (_mute_at,
+        # -1 while polling).  _held keeps, per link, the (cycle, dst)
+        # arrivals the tape handed out that the link has not taken: those
+        # of a muted link, and those a resumed link pushed past the window.
+        self._credit_due: deque[tuple[int, int]] = deque()
+        self._credit_checks: deque[tuple[int, int]] = deque()
+        self._mute_at = [-1] * n
+        self._held: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._stream_end = [0] * n  # cycle each link's current packet tape ends
         self._chain: set[int] = set()
         self._qchecks: list[tuple[int, int]] = []  # (cycle, link) quantum heap
@@ -290,12 +325,13 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._wave_log: list[tuple[int, int, int, int, int, int]] = []
         self._drop_log: list[tuple[int, int, int, int, int, int]] = []
         self._arrive_log: list[tuple[int, int, int, int]] = []
-        # (cycle, free, out_credits, queue_depths, drop_log_prefix, peak):
-        # the prefix is len(_drop_log) at the sampling instant, so _flush can
-        # reconstruct the drop taxonomy visible at each sample; peak is the
-        # occupancy high-water mark at that instant.
+        # (cycle, free, out_credits, queue_depths, drop_log_prefix, peak,
+        # in_credits): the prefix is len(_drop_log) at the sampling instant,
+        # so _flush can reconstruct the drop taxonomy visible at each
+        # sample; peak is the occupancy high-water mark at that instant.
         self._sample_log: list[
-            tuple[int, int, tuple[int, ...], tuple[int, ...], int, int]
+            tuple[int, int, tuple[int, ...], tuple[int, ...], int, int,
+                  tuple[int, ...]]
         ] = []
         self._pending_departures: deque[tuple[int, int, int, int, int, int]] = deque()
         # Due events (cycle, output) at which a CT/read wave's output becomes
@@ -350,9 +386,12 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         window_arrivals = self._tape.window_arrivals
         advance = self._advance_window
         batch = self.batch_cycles
+        credit_flow = self.config.credit_flow
         while self.cycle < stop:
             t1 = min(stop, self.cycle + batch)
             ac, al, ad = window_arrivals(self.cycle, t1)
+            if credit_flow:  # hold back muted links, merge carried arrivals
+                ac, al, ad = self._splice(t1, ac, al, ad, 0)
             advance(t1, ac, al, ad)
         self._flush()
         return self.stats
@@ -379,7 +418,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 if self._chain:
                     target = max(target, max(self._chain) + 1)
                 self._advance_window(target, no_arrivals, no_arrivals,
-                                     no_arrivals)
+                                     no_arrivals, polling=False)
             else:
                 # Waves still to issue: advance in windows, stopping the
                 # moment the last queue/pending store resolves so the final
@@ -387,8 +426,10 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 # cycle (the wave kernel's drain length, bit for bit).
                 self._advance_window(self.cycle + self.batch_cycles,
                                      no_arrivals, no_arrivals, no_arrivals,
-                                     draining=True)
+                                     draining=True, polling=False)
         self._flush()
+        if self.config.credit_flow:
+            self._resume_after_drain(start)
         return self.cycle - start
 
     def is_empty(self) -> bool:
@@ -401,6 +442,87 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             and all(not q for q in self._queues)
         )
 
+    # -- input credit flow: held-back arrivals ----------------------------------
+    def _splice(
+        self, stop: int, arr_c: list[int], arr_l: list[int],
+        arr_d: list[int], ai: int,
+    ) -> tuple[list[int], list[int], list[int]]:
+        """The window arrivals from index ``ai`` on, re-formed for credit
+        muting: a muted link's arrivals move to its held list, and a
+        polling link's held arrivals before ``stop`` join the window, in
+        the scalar ``(cycle, link)`` order.
+
+        A splice runs at every mute and every resume, so the pass over the
+        whole remainder is one mask comprehension and C-level ``compress``;
+        only the few held arrivals are inserted one by one.
+        """
+        held = self._held
+        muted = 0
+        for i, m in enumerate(self._mute_at):
+            if m >= 0:
+                muted |= 1 << i
+        arr_c, arr_l, arr_d = arr_c[ai:], arr_l[ai:], arr_d[ai:]
+        if muted:
+            keep = [not muted >> i & 1 for i in arr_l]
+            if not all(keep):
+                gone = list(map(not_, keep))
+                for c, i, d in compress(zip(arr_c, arr_l, arr_d), gone):
+                    held[i].append((c, d))
+                arr_c = list(compress(arr_c, keep))
+                arr_l = list(compress(arr_l, keep))
+                arr_d = list(compress(arr_d, keep))
+        for i, h in enumerate(held):
+            if not h:
+                continue
+            if muted >> i & 1:
+                h.sort()  # window arrivals may precede carried-over ones
+                continue
+            k = 0
+            while k < len(h) and h[k][0] < stop:
+                c, d = h[k]
+                pos = bisect_left(arr_c, c)
+                while pos < len(arr_c) and arr_c[pos] == c and arr_l[pos] < i:
+                    pos += 1
+                arr_c.insert(pos, c)
+                arr_l.insert(pos, i)
+                arr_d.insert(pos, d)
+                k += 1
+            del h[:k]
+        return arr_c, arr_l, arr_d
+
+    def _delay_link(self, i: int, cycles: int) -> None:
+        """Unmute link ``i`` and shift everything it has not polled yet
+        ``cycles`` later: its held arrivals and the rest of its tape."""
+        self._mute_at[i] = -1
+        if cycles:
+            self._held[i] = [(c + cycles, d) for c, d in self._held[i]]
+            cast(BatchRenewalSource, self.source).delay_link(i, cycles)
+
+    def _resume_after_drain(self, since: int) -> None:
+        """Re-anchor every link's tape after a drain that began at ``since``.
+
+        No link polls during a drain, and every link with a credit polls
+        again at its end.  A muted link resumes at the outcome of its mute
+        cycle, unless it is still without credit (a dropped packet never
+        returns one).  Any other link resumes at its first poll at or after
+        ``since``: the end of its last packet, or ``since`` itself.  The
+        tape's first outcome is not enough here, because a link resumed
+        from muting may have pushed misses past the window, which the tape
+        no longer holds.
+        """
+        t = self.cycle
+        credits = self._credits
+        due = self._credit_due
+        while due and due[0][0] < t:
+            credits[due.popleft()[1]] += 1
+        for i, m in enumerate(self._mute_at):
+            if m < 0:
+                m = max(since, self._stream_end[i])
+            elif not credits[i]:
+                continue
+            if m < t:
+                self._delay_link(i, t - m)
+
     # -- the batch engine -----------------------------------------------------
     def _advance_window(
         self,
@@ -409,6 +531,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         arr_l: list[int],
         arr_d: list[int],
         draining: bool = False,
+        polling: bool = True,
     ) -> None:
         """Advance to exactly ``stop``, given the window's arrival tape.
 
@@ -423,6 +546,11 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         the window logs that :meth:`_flush` replays.  Multi-quantum chains,
         quantum-boundary checks and store-and-forward completions each sit
         behind a hoisted sentinel, so a shape without them pays one test.
+        So does input credit flow: credit returns and mute checks share one
+        sentinel, and a muted link's arrivals are spliced out of the window
+        until its credit returns.  With ``polling=False`` (a drain) no link
+        polls, so none is muted or resumed; :meth:`_resume_after_drain`
+        re-anchors them when the drain ends.
         """
         t = self.cycle
         n = self._n
@@ -463,6 +591,21 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         chain_add = chain.add
         chain_offsets = self._chain_offsets
         qchecks = self._qchecks
+        # Input credit flow: returns are applied lazily (whenever the loop
+        # reaches a cycle at or past them), except while a link is muted,
+        # when the loop wakes at each return so a resumed link polls at
+        # exactly its return cycle.
+        credit_flow = self.config.credit_flow
+        credits = self._credits
+        cdue = self._credit_due
+        cdue_append = cdue.append
+        cchecks = self._credit_checks
+        mute_at = self._mute_at
+        muted = 0
+        if credit_flow:
+            for i in range(n):
+                if mute_at[i] >= 0:
+                    muted |= 1 << i
         # Telemetry: every collection site below sits behind ``tel``, so the
         # telemetry-off loop pays one check per site and builds no logs.
         # Telemetry-on windows log waves, arrivals, drops and samples for
@@ -572,6 +715,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         next_arr = arr_c[0] if n_arr else never
         next_qc = qchecks[0][0] if qchecks else never
         next_p4 = next_arr if next_arr < next_qc else next_qc
+        next_cd = cdue[0][0] if cdue else never
+        next_cc = cchecks[0][0] if cchecks else never
+        next_cred = next_cd if next_cd < next_cc else next_cc
         tel_iv = self.telemetry.sample_interval if tel else 0
         if tel_iv:
             next_sample = ((t + tel_iv - 1) // tel_iv) * tel_iv
@@ -607,9 +753,17 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         nonempty_mask |= sdue.popleft() & full
                     next_sdue = sdue[0] >> n if sdue else never
                 if next_sample <= t:
+                    # Start-of-cycle input credits: every return before t,
+                    # including those not yet applied.
+                    in_credits = list(credits)
+                    for r, k in cdue:
+                        if r >= t:
+                            break
+                        in_credits[k] += 1
                     sample_log.append((t, free, tuple(out_credits),
                                        tuple(len(q) for q in queues),
-                                       len(drop_log), addresses - min_free))
+                                       len(drop_log), addresses - min_free,
+                                       tuple(in_credits)))
                     next_sample += tel_iv
                 next_aux = next_sample if next_sample < next_sdue else next_sdue
             # -- phase 2: arbitration ------------------------------------------
@@ -830,6 +984,15 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     returns_append((tw + rtt, j))
                     if tw + rtt < next_ret:
                         next_ret = tw + rtt
+                if credit_flow:
+                    # The input credit returns as the chain's last stage
+                    # executes: after arbitration at tw - 1, before its
+                    # arrivals.
+                    cdue_append((tw - 1, src))
+                    if tw - 1 < next_cd:
+                        next_cd = tw - 1
+                        if next_cd < next_cred:
+                            next_cred = next_cd
                 tail = tw + extra
                 if tail > busy_until:
                     busy_until = tail
@@ -882,6 +1045,34 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     wlog_append((t, wave, uid, src, j, arr_q))
                 else:
                     pending_append((tail, uid, arr_q, src, j, t))
+            # -- phase 3: input credit returns, then credit mute checks --------
+            if next_cred <= t:
+                spliced = False
+                while cdue and cdue[0][0] <= t:
+                    r, i = cdue.popleft()
+                    credits[i] += 1
+                    if muted >> i & 1 and polling:
+                        # The link polls again at r: its next outcome, due
+                        # at the mute cycle, shifts there.
+                        self._delay_link(i, r - mute_at[i])
+                        muted ^= 1 << i
+                        spliced = True
+                while cchecks and cchecks[0][0] <= t:
+                    i = cchecks.popleft()[1]
+                    if not credits[i] and polling:
+                        mute_at[i] = t
+                        muted |= 1 << i
+                        spliced = True
+                if spliced:
+                    arr_c, arr_l, arr_d = self._splice(stop, arr_c, arr_l,
+                                                       arr_d, ai)
+                    ai = 0
+                    n_arr = len(arr_c)
+                    next_arr = arr_c[0] if n_arr else never
+                    next_p4 = next_arr if next_arr < next_qc else next_qc
+                next_cd = cdue[0][0] if cdue else never
+                next_cc = cchecks[0][0] if cchecks else never
+                next_cred = next_cd if next_cd < next_cc else next_cc
             # -- phase 4: arrivals and §3.5 quantum-boundary checks ------------
             if next_p4 == t:
                 # Both come in input-link order; a check at t + m*B drops
@@ -901,6 +1092,11 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         ai += 1
                         ibit = 1 << i
                         if pend_mask & ibit:
+                            if credit_flow:
+                                raise DeadlineMissedError(
+                                    f"input {i}: packet {pend_uid[i]} overrun "
+                                    f"at cycle {t} despite credit flow control"
+                                )
                             if pend_arr[i] >= warmup:
                                 dropped += 1
                             overruns += 1
@@ -923,6 +1119,16 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                             if multi:
                                 for off in chain_offsets:
                                     heappush(qchecks, (t + off, i))
+                            if credit_flow:
+                                credits[i] -= 1
+                                if not credits[i]:
+                                    # Out of credit: the link's next poll,
+                                    # at t + W, needs a returned credit.
+                                    cchecks.append((t + w, i))
+                                    if t + w < next_cc:
+                                        next_cc = t + w
+                                        if next_cc < next_cred:
+                                            next_cred = next_cc
                             pend_uid[i] = uid
                             pend_dst[i] = d
                             pend_dbit[i] = ct_one << d
@@ -1004,6 +1210,12 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     target = c
             if next_aux < target:
                 target = next_aux
+            if next_cred < target:
+                # Mute checks always wake the loop, returns only while a
+                # link waits for one.
+                c = next_cd if muted and next_cd < next_cc else next_cc
+                if c < target:
+                    target = c
             if chain:
                 c = min(chain)
                 if c < target:
@@ -1086,7 +1298,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             series = self.telemetry.series
             drop_log = self._drop_log
             drop_ptr = 0
-            for t, free, oc, depths, n_drops, peak in self._sample_log:
+            for t, free, oc, depths, n_drops, peak, ic in self._sample_log:
                 occ = addresses - free
                 self.telemetry.sample(t, occ)
                 self._m_occupancy.set(occ)
@@ -1095,7 +1307,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 self._m_cycle.set(t)
                 for gauge, depth in zip(self._m_qdepth, depths):
                     gauge.set(depth)
-                for gauge, credits in zip(self._m_in_credits, self._credits):
+                for gauge, credits in zip(self._m_in_credits, ic):
                     gauge.set(credits)
                 for gauge, credits in zip(self._m_out_credits, oc):
                     gauge.set(credits)

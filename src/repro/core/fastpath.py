@@ -27,6 +27,13 @@ oracle has already validated.  Configurations whose arbitration it does not
 replicate (the E5 ablation policies ``WRITES_FIRST`` / ``OLDEST_FIRST``)
 are refused with :class:`FastPathUnsupportedError` rather than silently
 approximated.
+
+The ``pipelined_fast`` scenario arch runs this kernel only for what the
+batch kernel (:mod:`repro.core.batchpath`) refuses: per-cycle sources
+(``RenewalPacketSource``, ``TracePacketSource``, ``SlotAdapterSource``),
+the saturating source under credit flow, and an enabled sanitizer.
+``make_pipelined_switch(kernel="fast")`` and this class still build it
+directly, which the equivalence matrices and benchmarks use.
 """
 
 from __future__ import annotations
@@ -87,27 +94,19 @@ def reject_unsupported(kernel: str, reason: str) -> FastPathUnsupportedError:
     )
 
 
-def ensure_wave_kernel_supported(
-    kernel: str, config: PipelinedSwitchConfig, source: PacketSource
-) -> None:
-    """Unsupported-config branches shared by the wave and batch kernels."""
+def wave_kernel_refusal(
+    config: PipelinedSwitchConfig, source: PacketSource
+) -> str | None:
+    """Why the wave and batch kernels refuse this pair, or ``None``."""
     if source.n_out != config.n:
-        raise reject_unsupported(
-            kernel,
-            f"source targets {source.n_out} outputs, switch has {config.n}",
-        )
+        return f"source targets {source.n_out} outputs, switch has {config.n}"
     if source.packet_words != config.packet_words:
-        raise reject_unsupported(
-            kernel,
-            f"source packets are {source.packet_words} words, switch needs "
-            f"{config.packet_words} (pipeline depth)",
-        )
+        return (f"source packets are {source.packet_words} words, switch "
+                f"needs {config.packet_words} (pipeline depth)")
     if config.priority is not Priority.READS_FIRST:
-        raise reject_unsupported(
-            kernel,
-            f"only the paper's READS_FIRST arbitration is modelled; "
-            f"{config.priority} is an ablation policy",
-        )
+        return (f"only the paper's READS_FIRST arbitration is modelled; "
+                f"{config.priority} is an ablation policy")
+    return None
 
 
 class FastPipelinedSwitch(SwitchTelemetryMixin):
@@ -131,7 +130,9 @@ class FastPipelinedSwitch(SwitchTelemetryMixin):
         telemetry: Telemetry | None = None,
         sanitizer: Sanitizer | None = None,
     ) -> None:
-        ensure_wave_kernel_supported("fast path", config, source)
+        reason = wave_kernel_refusal(config, source)
+        if reason is not None:
+            raise reject_unsupported("fast path", reason)
         self.config = config
         self.source = source
         n = config.n

@@ -294,12 +294,20 @@ class BatchRenewalSource(PacketSource):
         for link in range(self.n_out):
             tape_c = self._tape_cycle[link]
             first = int(tape_c[0]) if tape_c.size else self._next_draw[link]
-            delta = cycle - first
-            if delta <= 0:
-                continue
-            if tape_c.size:
-                self._tape_cycle[link] = tape_c + delta
-            self._next_draw[link] += delta
+            if cycle > first:
+                self.delay_link(link, cycle - first)
+
+    def delay_link(self, link: int, cycles: int) -> None:
+        """Shift every poll of ``link`` not yet handed out ``cycles`` later.
+
+        The per-link form of :meth:`resume_idle`: a link that stopped
+        polling (credit-muted) and resumes ``cycles`` later consumes the
+        same outcomes, only at later cycle labels.
+        """
+        tape_c = self._tape_cycle[link]
+        if tape_c.size:
+            self._tape_cycle[link] = tape_c + cycles
+        self._next_draw[link] += cycles
 
 
 class SaturatingSource(PacketSource):

@@ -215,8 +215,15 @@ def _build_pipelined(p, source, telemetry, sanitizer=None):
 
 
 def _build_pipelined_fast(p, source, telemetry, sanitizer=None):
+    """The batch kernel whenever it models the cell, else the wave kernel:
+    both are bit-identical to the checked one, and the batch kernel skips
+    idle cycles.  ``run.kernel`` in the result says which one ran."""
     from repro.core import make_pipelined_switch
-    return make_pipelined_switch(_pipelined_config(p), source, fast=True,
+    from repro.core.batchpath import batch_refusal
+
+    cfg = _pipelined_config(p)
+    kernel = "fast" if batch_refusal(cfg, source, sanitizer) else "batch"
+    return make_pipelined_switch(cfg, source, kernel=kernel,
                                  telemetry=telemetry, sanitizer=sanitizer)
 
 
@@ -274,7 +281,8 @@ _register(ArchitectureDef(
 ))
 _register(ArchitectureDef(
     name="pipelined_fast", kind=WORD,
-    description="wave-level fast kernel (bit-identical statistics)",
+    description="fastest bit-identical kernel: the batch kernel when it "
+                "models the cell, else the wave-level fast kernel",
     params=_PIPELINED_PARAMS, build=_WORD_BUILDERS["pipelined_fast"],
     telemetry_ok=True, drain_ok=True, sanitize_ok=True,
 ))
@@ -530,6 +538,8 @@ class Prepared:
             "traffic": sc.traffic.to_dict(),
             "stats": stats,
         }
+        if self.kind == WORD:
+            result["run"] = {"kernel": kernel_name(self.switch)}
         if self.sanitizer is not None:
             result["sanitizer"] = self.sanitizer.summary()
         if self.telemetry is not None and self.telemetry.enabled:
@@ -541,6 +551,18 @@ class Prepared:
             if self.telemetry.series is not None:
                 result["telemetry"]["series"] = self.telemetry.series.summary()
         return _jsonable(result)
+
+
+def kernel_name(switch: Any) -> str:
+    """The kernel tier that ran a word cell: ``batch``, ``fast``, or
+    ``checked`` for the word-by-word models (the oracle, wide, split)."""
+    from repro.core import BatchPipelinedSwitch, FastPipelinedSwitch
+
+    if isinstance(switch, BatchPipelinedSwitch):
+        return "batch"
+    if isinstance(switch, FastPipelinedSwitch):
+        return "fast"
+    return "checked"
 
 
 def telemetry_from_spec(spec) -> Telemetry:

@@ -200,6 +200,9 @@ def test_pre_removal_batch_doc_with_jit_is_refused():
 #: ``batch_lean_v2``: n=4, quanta=1, telemetry off, saturating traffic,
 #: saved at cycle 137 with due events (``lean_due``, encoded
 #: cycle << 12 | output bit) and pending departures in flight.
+#: ``pipelined_fast_credit_v2``: a fast-kernel document of a credit-flow
+#: ``pipelined_fast`` cell, saved at cycle 1237 when that arch always ran
+#: the wave kernel, with the cell's spec and its uninterrupted stats.
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -216,6 +219,58 @@ def test_two_engine_batch_doc_resumes_to_recorded_fingerprint(name, state):
     resumed = restore_switch(doc)
     resumed.run(fixture["resume_cycles"])
     assert fingerprint(resumed) == fixture["fingerprint"]
+
+
+# -- input credit flow on the batch kernel ------------------------------------
+
+def _build_credited(telemetry=False, batch_cycles=256):
+    """Tight input credits (2 per input at load 0.9): links mute and resume
+    every few packets."""
+    reset_packet_ids()
+    cfg = PipelinedSwitchConfig(n=4, addresses=32, credit_flow=True,
+                                credits_per_input=2)
+    src = BatchRenewalSource(4, cfg.packet_words, load=0.9, seed=5)
+    return make_pipelined_switch(
+        cfg, src, kernel="batch", batch_cycles=batch_cycles,
+        telemetry=Telemetry.on(16) if telemetry else None)
+
+
+@pytest.mark.parametrize("telemetry", [False, True])
+@pytest.mark.parametrize("k,muted", [(37, False), (337, True)])
+def test_credited_batch_resumes_identically(k, muted, telemetry):
+    """k=37 lies inside the first window; at k=337 link 2 is muted, with
+    held-back arrivals and its tape not yet shifted."""
+    sw = _build_credited(telemetry)
+    sw.run(k)
+    assert any(m >= 0 for m in sw._mute_at) is muted
+    _assert_resume_identical(lambda: _build_credited(telemetry),
+                             n_total=1500, k=k)
+
+
+def test_parent_fast_credit_doc_resumes_in_a_sweep(tmp_path):
+    """A ``pipelined_fast`` credit-flow checkpoint written when that arch
+    always ran the wave kernel is a fast-kernel document.  A resumed sweep
+    finishes it on the wave kernel, with the result of an uninterrupted
+    run, which now runs on the batch kernel."""
+    from repro.scenario import Scenario
+    from repro.scenario.runner import ScenarioRunner
+
+    fixture = json.loads((FIXTURES / "pipelined_fast_credit_v2.json")
+                         .read_text())
+    doc = fixture["doc"]
+    assert doc["kernel"] == "fast" and doc["cycle"] == 1237
+    sc = Scenario.from_dict(fixture["scenario"])
+    seed = fixture["seed"]
+    [fresh] = ScenarioRunner(jobs=1).run(sc)
+    ckpt = tmp_path / "checkpoints" / f"{sc.name}-seed{seed}.ckpt.json"
+    ckpt.parent.mkdir()
+    ckpt.write_text(json.dumps(doc))
+    [resumed] = ScenarioRunner(jobs=1, out_dir=tmp_path, checkpoint_every=500,
+                               resume=True).run(sc)
+    assert fresh.pop("run") == {"kernel": "batch"}
+    assert resumed.pop("run") == {"kernel": "fast"}
+    assert resumed == fresh
+    assert fresh["stats"] == fixture["stats"]
 
 
 # -- save/load plumbing -------------------------------------------------------

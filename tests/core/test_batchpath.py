@@ -32,6 +32,7 @@ from repro.core import (
     SaturatingSource,
     make_pipelined_switch,
 )
+from repro.core.batchpath import batch_refusal
 from repro.drc.sanitizer import Sanitizer
 from repro.sim.packet import reset_packet_ids
 from repro.telemetry import Telemetry
@@ -68,8 +69,10 @@ def _fingerprint(sw) -> dict:
 
 #: the shapes the batch kernel supports, E15/E13-flavoured plus every
 #: feature interaction it models (quanta chains, store-and-forward,
-#: downstream credits, wire pipelining, and n > 12 — the first widths past
-#: the eager 2**n mask tables an earlier engine used)
+#: downstream credits, wire pipelining, n > 12 — the first widths past the
+#: eager 2**n mask tables an earlier engine used — and input credit flow,
+#: with default credits and with tight ones that mute links every few
+#: packets, alone and combined with the other features)
 MATRIX = [
     pytest.param(dict(n=8, addresses=128), _renewal, 0.6, 1, 400,
                  id="e15-8x8-drop-tail"),
@@ -88,6 +91,24 @@ MATRIX = [
                  id="16x16-saturated-general-engine"),
     pytest.param(dict(n=13, addresses=104), _renewal, 0.8, 5, 100,
                  id="13x13-past-mask-table-limit"),
+    pytest.param(dict(n=8, addresses=256, credit_flow=True), _renewal, 1.0,
+                 8, 200, id="credits-8x8-default"),
+    pytest.param(dict(n=4, addresses=32, credit_flow=True,
+                      credits_per_input=1), _renewal, 0.9, 3, 0,
+                 id="credits-tight-1"),
+    pytest.param(dict(n=4, addresses=32, credit_flow=True,
+                      credits_per_input=2), _renewal, 0.8, 2, 100,
+                 id="credits-tight-2"),
+    pytest.param(dict(n=4, addresses=64, credit_flow=True,
+                      credits_per_input=2, downstream_credits=2,
+                      downstream_rtt=7), _renewal, 0.9, 4, 0,
+                 id="credits-downstream"),
+    pytest.param(dict(n=4, addresses=64, quanta=2, credit_flow=True,
+                      credits_per_input=2), _renewal, 0.9, 1, 0,
+                 id="credits-multi-quantum"),
+    pytest.param(dict(n=4, addresses=64, cut_through=False,
+                      credit_flow=True, credits_per_input=2), _renewal, 0.8,
+                 2, 0, id="credits-store-and-forward"),
 ]
 
 BATCH_SIZES = (1, 7, 256, 4096)
@@ -214,6 +235,34 @@ class TestBatchBoundaries:
             _assert_fp_equal(fp, _fingerprint(sw), f"batch={batch}")
             assert drains_b == drains_c
 
+    def test_credit_drain_then_rerun_at_every_small_batch(self):
+        # run/drain/run/drain under tight credits: links muted when the
+        # drain starts, and links whose arrivals a resume pushed past the
+        # window, must poll again exactly where the per-cycle oracle does.
+        cfg = PipelinedSwitchConfig(n=3, addresses=24, credit_flow=True,
+                                    credits_per_input=1)
+        checked, drains_c = _run_reference(PipelinedSwitch, cfg, _renewal,
+                                           0.9, 7, 50, cycles=357, rerun=123)
+        fp = _fingerprint(checked)
+        for batch in (1, 2, 3, 5, 64, 4096):
+            sw, drains_b = _run_batch(cfg, _renewal, 0.9, 7, 50, batch,
+                                      cycles=357, rerun=123)
+            _assert_fp_equal(fp, _fingerprint(sw), f"batch={batch}")
+            assert drains_b == drains_c
+
+    def test_tight_credits_mute_links(self):
+        # The tight-credit rows exercise muting: some window ends with a
+        # link muted, and some with arrivals held past the window.
+        cfg = PipelinedSwitchConfig(n=4, addresses=32, credit_flow=True,
+                                    credits_per_input=1)
+        sw = BatchPipelinedSwitch(cfg, _renewal(cfg, 0.9, 3), batch_cycles=16)
+        muted = carried = 0
+        for _ in range(100):
+            sw.run(16)
+            muted += any(m >= 0 for m in sw._mute_at)
+            carried += any(h and m < 0 for h, m in zip(sw._held, sw._mute_at))
+        assert muted and carried
+
     def test_window_larger_than_horizon(self):
         cfg = PipelinedSwitchConfig(n=4, addresses=32)
         ref, _ = _run_batch(cfg, _renewal, 0.6, 2, 0, 1, cycles=600, rerun=0)
@@ -244,10 +293,6 @@ def test_random_configs_and_batch_sizes_identical(
         cut_through=cut_through, credit_flow=credit_flow,
         link_pipeline_stages=wirepipe,
     )
-    if credit_flow:
-        with pytest.raises(FastPathUnsupportedError):
-            BatchPipelinedSwitch(cfg, _renewal(cfg, load, seed))
-        return
     tel_c = Telemetry.on(sample_interval=32) if telemetry else None
     tel_b = Telemetry.on(sample_interval=32) if telemetry else None
     checked, drains_c = _run_reference(PipelinedSwitch, cfg, _renewal,
@@ -294,9 +339,17 @@ class TestRefusals:
     """Refuse-don't-approximate: every unsupported shape raises cleanly."""
 
     def test_rejects_credit_flow(self):
+        # Credit flow runs on tape sources; a per-cycle shared-stream
+        # source stays refused with it, and so does the saturating tape,
+        # whose links share one stream.
         cfg = PipelinedSwitchConfig(n=4, addresses=32, credit_flow=True)
+        src = RenewalPacketSource(n_out=4, packet_words=cfg.packet_words,
+                                  load=0.5, seed=1)
+        with pytest.raises(FastPathUnsupportedError, match="arrival tape"):
+            BatchPipelinedSwitch(cfg, src)
         with pytest.raises(FastPathUnsupportedError, match="credit"):
-            BatchPipelinedSwitch(cfg, _renewal(cfg, 0.5, 1))
+            BatchPipelinedSwitch(cfg, _saturating(cfg, 1.0, 1))
+        assert batch_refusal(cfg, _renewal(cfg, 0.5, 1)) is None
 
     def test_rejects_unbatchable_source(self):
         cfg = PipelinedSwitchConfig(n=4, addresses=32)

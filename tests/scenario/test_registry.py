@@ -154,6 +154,39 @@ class TestDeterminism:
         assert prep.switch.config.priority is Priority.OLDEST_FIRST
 
 
+class TestKernelReport:
+    """``pipelined_fast`` runs the batch kernel whenever it models the cell,
+    and every word result says which kernel ran."""
+
+    @staticmethod
+    def credited(kind):
+        return scenario_for("pipelined_fast", horizon=600,
+                            params={"n": 4, "addresses": 32,
+                                    "credit_flow": True},
+                            traffic={"kind": kind, "load": 0.8})
+
+    def test_tape_traffic_runs_batch(self):
+        result = run_scenario(self.credited("renewal_tape"))
+        assert result["run"] == {"kernel": "batch"}
+
+    def test_per_cycle_traffic_runs_fast(self):
+        result = run_scenario(self.credited("renewal"))
+        assert result["run"] == {"kernel": "fast"}
+
+    def test_sanitized_cell_runs_fast(self):
+        sc = self.credited("renewal_tape")
+        result = run_scenario(sc, sanitize=True)
+        assert result["run"] == {"kernel": "fast"}
+        assert result["stats"] == run_scenario(sc)["stats"]
+
+    @pytest.mark.parametrize("arch,kernel", [
+        ("pipelined", "checked"), ("pipelined_batch", "batch"),
+        ("wide", "checked"),
+    ])
+    def test_every_word_result_names_its_kernel(self, arch, kernel):
+        assert run_scenario(scenario_for(arch))["run"] == {"kernel": kernel}
+
+
 class TestSlottedFactory:
     def test_builds_named_switch(self):
         sw = slotted_factory("voq", n=4, scheduler="pim")()
