@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core import (
     BatchPipelinedSwitch,
     BatchRenewalSource,
+    DeadlineMissedError,
     FastPathUnsupportedError,
     FastPipelinedSwitch,
     PipelinedSwitch,
@@ -162,6 +163,23 @@ class TestEquivalenceMatrix:
                                             warmup, batch)
             _assert_fp_equal(fp, _fingerprint(batch_sw), f"batch={batch}")
             assert drains_b == drains_c, f"batch={batch} drain lengths differ"
+
+
+    def test_credit_overrun_raises_like_the_oracle(self):
+        # More credits than buffer addresses: a store misses its deadline,
+        # which credit flow promises never happens, so every kernel raises
+        # the same DeadlineMissedError instead of counting a drop.
+        cfg = PipelinedSwitchConfig(n=2, addresses=2, credit_flow=True,
+                                    credits_per_input=4)
+        errors = set()
+        for kernel in ("checked", "fast", "batch"):
+            reset_packet_ids()
+            sw = make_pipelined_switch(cfg, _renewal(cfg, 1.0, 1),
+                                       kernel=kernel)
+            with pytest.raises(DeadlineMissedError) as info:
+                sw.run(2000)
+            errors.add(str(info.value))
+        assert len(errors) == 1
 
 
 class TestTelemetryEquivalence:
