@@ -277,7 +277,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._pend_dst = [0] * n
         # 1 << dst for a pending store that may cut through (0 under
         # store-and-forward), rebuilt from _pend_dst on restore.
-        self._pend_dbit = [0] * n  # drc: checkpoint-exempt
+        self._pend_dbit = [0] * n
         self._pend_arr = [0] * n
         self._credits = [config.credits_per_input or 0] * n
         # Input credit flow (§4.2).  A departure-bearing wave at t0 returns

@@ -102,9 +102,6 @@ class SwitchTelemetryMixin:
         n, b = self.config.n, self.config.depth
         # Every handle resolved below is re-resolved on (re)attach — restore
         # reattaches telemetry first, so none of them belong in a snapshot.
-        # drc: checkpoint-exempt: _m_arrivals, _m_departures, _m_drops, _m_waves
-        # drc: checkpoint-exempt: _m_idle, _m_deadline, _m_bank, _m_occupancy
-        # drc: checkpoint-exempt: _m_free, _m_peak, _m_cycle, _m_latency, _drop_tax
         for fam, text in METRIC_HELP.items():
             m.describe(fam, text)
         self._m_arrivals = [m.counter("repro_port_arrivals_total", port=i)

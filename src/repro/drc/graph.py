@@ -1,8 +1,8 @@
 """Whole-program symbol/import graph and class-hierarchy resolver.
 
 The per-file rules in :mod:`repro.drc.rules` need only one parsed module;
-the project rules (registry coverage, API shape, RNG provenance,
-checkpoint completeness) need to answer questions that span files:
+the project rules (registry coverage, API shape, RNG provenance) need to
+answer questions that span files:
 
 * *what does the name ``sw.PipelinedSwitch`` in this module refer to?* —
   import/alias resolution, including relative imports and re-export
@@ -10,9 +10,9 @@ checkpoint completeness) need to answer questions that span files:
 * *which classes derive (transitively) from ``SlottedSwitch``?* — exact
   class-hierarchy edges built from resolved base names, replacing the
   old leaf-name matching heuristics;
-* *which function does this call land in?* — enough call resolution for
-  the dataflow engine (:mod:`repro.drc.dataflow`) to build
-  interprocedural summaries.
+* *which project symbol does this call name?* — enough resolution for
+  the RNG-provenance rules (:mod:`repro.drc.rng_rules`) to recognise
+  generator constructors and consumers through aliases and re-exports.
 
 :class:`ProjectGraph` is built once per lint invocation from the parsed
 :class:`~repro.drc.rules.LintModule` collection and shared by every
@@ -63,18 +63,6 @@ class FunctionInfo:
     module: LintModule
     node: ast.FunctionDef | ast.AsyncFunctionDef
     owner: str | None = None  # class qname for methods
-
-    def decorator_names(self) -> list[str]:
-        """Dotted names of the decorators (``Call`` wrappers unwrapped)."""
-        out: list[str] = []
-        for dec in self.node.decorator_list:
-            expr: ast.expr = dec
-            if isinstance(expr, ast.Call):
-                expr = expr.func
-            name = _dotted(expr)
-            if name is not None:
-                out.append(name)
-        return out
 
 
 def module_qname(relpath: str) -> str:
@@ -271,9 +259,6 @@ class ProjectGraph:
                 target = local_env[head] + (f".{rest}" if rest else "")
                 return self.canonical(target)
         return self.resolve(modq, dotted)
-
-    def function_at(self, qname: str) -> FunctionInfo | None:
-        return self.functions.get(qname)
 
     def module_deps(self, mod: LintModule) -> set[str]:
         """Project modules this file imports (for cache invalidation)."""

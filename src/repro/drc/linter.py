@@ -35,9 +35,7 @@ from typing import Iterable
 
 from repro.drc.rules import LintModule, Project, Violation, rule_catalog
 
-# Imported for their @register side effects: these modules contribute the
-# RNG-provenance and checkpoint-completeness rule families.
-from repro.drc import checkpoint_rules as _checkpoint_rules  # noqa: F401
+# Imported for its @register side effects: the RNG-provenance rule family.
 from repro.drc import rng_rules as _rng_rules  # noqa: F401
 
 #: directories never descended into during file discovery

@@ -9,10 +9,7 @@ determinism rules are scoped to the simulation packages.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.drc.linter import (
-    LintResult,
     format_json,
     format_sarif,
     format_text,
@@ -20,7 +17,6 @@ from repro.drc.linter import (
     rule_catalog,
     run_lint,
 )
-from repro.drc.rules import Violation
 
 
 def _tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -394,8 +390,7 @@ def test_rule_catalog_codes_are_stable():
     assert codes == sorted(codes)
     assert codes == ["DRC101", "DRC102", "DRC103", "DRC104",
                      "DRC111", "DRC112", "DRC121", "DRC122", "DRC131",
-                     "DRC141", "DRC142", "DRC143",
-                     "DRC151", "DRC152", "DRC153"]
+                     "DRC141", "DRC142", "DRC143"]
     assert all(rule.name and rule.summary for rule in rule_catalog())
 
 

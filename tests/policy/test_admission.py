@@ -11,7 +11,6 @@ import pytest
 from repro.core.errors import ConfigError
 from repro.policy import (
     POLICIES,
-    AdmissionPolicy,
     CompleteSharing,
     DynamicThreshold,
     PortReservation,

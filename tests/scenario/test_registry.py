@@ -1,8 +1,6 @@
 """Tests for the architecture registry: coverage of every kernel,
 validation errors, and deterministic preparation."""
 
-import math
-
 import pytest
 
 from repro.scenario import (
