@@ -9,7 +9,7 @@ match the idealized shared buffer it implements.
 
 from conftest import show
 
-from repro.core import FastPipelinedSwitch, PipelinedSwitchConfig, RenewalPacketSource
+from repro.core import PipelinedSwitch, PipelinedSwitchConfig, RenewalPacketSource
 from repro.switches import (
     BlockCrosspoint,
     CrosspointQueued,
@@ -42,17 +42,15 @@ ARCHITECTURES = {
 
 
 def _pipelined_point():
-    # The fast kernel is bit-identical to PipelinedSwitch here (same seed,
-    # same arbitration), so the asserts below see the exact same numbers.
     cfg = PipelinedSwitchConfig(n=N, addresses=256, credit_flow=True)
     b = cfg.packet_words
-    sat_sw = FastPipelinedSwitch(
+    sat_sw = PipelinedSwitch(
         cfg, RenewalPacketSource(n_out=N, packet_words=b, load=1.0, seed=2)
     )
     sat_sw.warmup = 4000
     sat_sw.run(SLOTS * b // 2)
     cfg2 = PipelinedSwitchConfig(n=N, addresses=256, credit_flow=True)
-    lat_sw = FastPipelinedSwitch(
+    lat_sw = PipelinedSwitch(
         cfg2, RenewalPacketSource(n_out=N, packet_words=b, load=0.8, seed=3)
     )
     lat_sw.warmup = 4000

@@ -12,7 +12,7 @@ reports wave statistics; any violation raises.
 from conftest import show
 
 from repro.core import (
-    FastPipelinedSwitch,
+    PipelinedSwitch,
     PipelinedSwitchConfig,
     RenewalPacketSource,
     SaturatingSource,
@@ -21,11 +21,8 @@ from repro.switches.harness import format_table
 
 
 def _run(name, cfg, src, cycles):
-    # The fast kernel reproduces PipelinedSwitch bit-for-bit on these
-    # configs (tests/core/test_fastpath.py pins that), so the conservation
-    # identities below are checked against the exact same numbers the
-    # structurally-checked model would produce — just ~7x sooner.
-    sw = FastPipelinedSwitch(cfg, src)
+    # The checked kernel, with every structural check armed.
+    sw = PipelinedSwitch(cfg, src)
     # No warmup: the wave counters cover the whole run, so the conservation
     # identities below must hold exactly.
     sw.run(cycles)

@@ -4,15 +4,21 @@
 ``batch_cycles=1`` the batch kernel degenerates to one window per cycle,
 paying its per-window costs (tape slicing, log flushing, engine dispatch)
 with none of the amortization that makes large windows fast.  That
-worst case must stay cheap — within 2x of the wave-level fast kernel on
-the same workload — or the per-window overhead has grown and every batch
-size is paying it.
+worst case must stay cheap — at least ``MIN_SPEEDUP`` times the checked
+kernel on the same workload — or the per-window overhead has grown and
+every batch size is paying it.
 
-Wall time on a shared machine is noisy, so the guard samples fast+batch
-pairs (best-of, early exit) and compares *ratios* measured in the same
-process on the same arrival tape; a scheduling stall hits both kernels
-and cancels.  Bit-identity of the statistics is asserted on the side —
-a fast degenerate window that diverges is worthless.
+The bound carries over the earlier one, "within 2x of the wave-level
+kernel", which has since been removed.  On this workload that kernel ran
+a median 5.54x the checked kernel (12 same-process pairs, 2-core x86_64
+host, Python 3.11), so half of it is 2.77x checked.
+
+Wall time on a shared machine is noisy, so the guard samples
+checked+batch pairs (best-of, early exit) and compares *ratios* measured
+in the same process on the same arrival tape; a machine-wide slowdown
+hits both kernels and cancels.  Bit-identity of the statistics is
+asserted on the side — a fast degenerate window that diverges is
+worthless.
 """
 
 import time
@@ -21,7 +27,7 @@ from conftest import show
 
 from repro.core import (
     BatchRenewalSource,
-    FastPipelinedSwitch,
+    PipelinedSwitch,
     PipelinedSwitchConfig,
     make_pipelined_switch,
 )
@@ -29,7 +35,7 @@ from repro.sim.packet import reset_packet_ids
 from repro.switches.harness import format_table
 
 CYCLES = 60_000  # relative guard: both kernels run the same horizon
-MAX_OVERHEAD = 2.0  # batch_cycles=1 may cost at most 2x the fast kernel
+MIN_SPEEDUP = 2.77  # batch_cycles=1 must run at least 2.77x checked
 MAX_REPEATS = 6
 
 
@@ -38,8 +44,8 @@ def _build(kernel: str, batch_cycles: int | None = None):
     cfg = PipelinedSwitchConfig(n=8, addresses=128)
     src = BatchRenewalSource(n_out=8, packet_words=cfg.packet_words,
                              load=0.6, seed=1)
-    if kernel == "fast":
-        return FastPipelinedSwitch(cfg, src)
+    if kernel == "checked":
+        return PipelinedSwitch(cfg, src)
     return make_pipelined_switch(cfg, src, kernel="batch",
                                  batch_cycles=batch_cycles)
 
@@ -60,40 +66,39 @@ def _fingerprint(sw) -> tuple:
 
 
 def _experiment():
-    best_fast = best_b1 = best_ratio = 0.0
-    fp_fast = fp_b1 = None
+    best_checked = best_b1 = best_ratio = 0.0
+    fp_checked = fp_b1 = None
     for _ in range(MAX_REPEATS):
-        fast, sw_fast = _throughput("fast")
+        checked, sw_checked = _throughput("checked")
         b1, sw_b1 = _throughput("batch", batch_cycles=1)
-        fp_fast, fp_b1 = _fingerprint(sw_fast), _fingerprint(sw_b1)
-        best_fast = max(best_fast, fast)
+        fp_checked, fp_b1 = _fingerprint(sw_checked), _fingerprint(sw_b1)
+        best_checked = max(best_checked, checked)
         best_b1 = max(best_b1, b1)
-        best_ratio = max(best_ratio, best_b1 / best_fast)
-        if best_ratio >= 1.0 / MAX_OVERHEAD:
+        best_ratio = max(best_ratio, best_b1 / best_checked)
+        if best_ratio >= MIN_SPEEDUP:
             break
     big, sw_big = _throughput("batch", batch_cycles=4096)
-    assert _fingerprint(sw_big) == fp_fast
-    return best_fast, best_b1, best_ratio, big, fp_fast, fp_b1
+    assert _fingerprint(sw_big) == fp_checked
+    return best_checked, best_b1, best_ratio, big, fp_checked, fp_b1
 
 
 def test_e17_batch_window_overhead(run_once):
-    fast, b1, ratio, big, fp_fast, fp_b1 = run_once(_experiment)
-    assert fp_b1 == fp_fast, (
-        "batch_cycles=1 statistics diverge from the fast kernel")
+    checked, b1, ratio, big, fp_checked, fp_b1 = run_once(_experiment)
+    assert fp_b1 == fp_checked, (
+        "batch_cycles=1 statistics diverge from the checked kernel")
     rows = [
-        ["fast (wave-level reference)", round(fast), "1.00x"],
-        ["batch, batch_cycles=1 (degenerate)", round(b1),
-         f"{ratio:.2f}x"],
-        ["batch, batch_cycles=4096", round(big), f"{big / fast:.2f}x"],
+        ["checked (reference)", round(checked), "1.00x"],
+        ["batch, batch_cycles=1 (degenerate)", round(b1), f"{ratio:.2f}x"],
+        ["batch, batch_cycles=4096", round(big), f"{big / checked:.2f}x"],
     ]
     show(format_table(
-        ["E15 8x8 load 0.6 drop-tail (tape)", "cycles/sec", "vs fast"],
+        ["E15 8x8 load 0.6 drop-tail (tape)", "cycles/sec", "vs checked"],
         rows,
         title="E17: batch-window overhead (batch_cycles=1 guarded at "
-              f"<{MAX_OVERHEAD:.0f}x the fast kernel)",
+              f">={MIN_SPEEDUP:.2f}x the checked kernel)",
     ))
-    assert ratio >= 1.0 / MAX_OVERHEAD, (
+    assert ratio >= MIN_SPEEDUP, (
         f"batch kernel at batch_cycles=1 reached {b1:.0f} cycles/sec, "
-        f"{1 / ratio:.2f}x slower than the fast kernel ({fast:.0f}) — "
-        "per-window overhead exceeds the 2x budget"
+        f"{ratio:.2f}x the checked kernel ({checked:.0f}) — per-window "
+        f"overhead exceeds the {MIN_SPEEDUP:.2f}x floor"
     )

@@ -12,7 +12,7 @@ yields a switch for which
 **bit for bit**: every statistic, Welford accumulator, latency histogram,
 drop-taxonomy entry and telemetry event is identical, whether the restore
 happens in the same process or a fresh one.  `tests/checkpoint/` pins
-this with a round-trip oracle across all three kernels, in a hypothesis
+this with a round-trip oracle across both kernels, in a hypothesis
 property test and a fixed matrix: the restored switch must equal the
 original attribute for attribute, outside a short reasoned exempt list,
 and both must run on to the fingerprint of an uninterrupted run.
@@ -20,7 +20,7 @@ and both must run on to the fingerprint of an uninterrupted run.
 Design rules:
 
 * **Snapshots happen at ``run()``/``drain()`` boundaries only.**  The
-  checked and fast kernels are well-defined between any two ticks; the
+  checked kernel is well-defined between any two ticks; the
   batch kernel additionally requires its window logs to be flushed, which
   ``run()`` guarantees.  Mid-tick state is never serialized.
 * **Refuse loudly, never approximate** (the ``FastPathUnsupportedError``
@@ -54,7 +54,6 @@ from repro.core.arbiter import Priority, WriteRequest
 from repro.core.buffer_manager import PacketRecord
 from repro.core.control import ControlWord, WaveOp
 from repro.core.errors import ConfigError
-from repro.core.fastpath import FastPipelinedSwitch
 from repro.core.sources import (
     BatchRenewalSource,
     PacketSource,
@@ -496,7 +495,7 @@ def _sanitizer_from(doc: dict | None, tel: Telemetry | None) -> Sanitizer | None
 
 
 # ---------------------------------------------------------------------------
-# shared statistics block (identical collectors on all three kernels)
+# shared statistics block (identical collectors on both kernels)
 # ---------------------------------------------------------------------------
 
 def _collectors_doc(sw: Any, sort_hists: bool = False) -> dict:
@@ -688,92 +687,6 @@ def _restore_checked(
 
 
 # ---------------------------------------------------------------------------
-# fast (wave-level) kernel
-# ---------------------------------------------------------------------------
-
-def _snap_fast(sw: FastPipelinedSwitch) -> dict:
-    if sw._muted:
-        raise CheckpointError(
-            "cannot snapshot mid-drain (the source is muted); checkpoint at "
-            "a run()/drain() boundary"
-        )
-    live: set[int] = set()
-    for q in sw._queues:
-        live.update(item[0] for item in q)
-    live.update(u for u in sw._in_uid if u >= 0)
-    live.update(u for u in sw._pend_uid if u >= 0)
-    live.update(item[1] for item in sw._stats_due)
-    mask = sw._mask
-    body = {
-        "records": [[u] + [int(x) for x in sw._rec[u & mask]]
-                    for u in sorted(live)],
-        "next_uid": sw._next_uid,
-        "free": sw._free,
-        "peak": sw._peak_occ,
-        "queues": [[list(item) for item in q] for q in sw._queues],
-        "in_uid": list(sw._in_uid),
-        "in_next": list(sw._in_next),
-        "pend_uid": list(sw._pend_uid),
-        "pend_dst": list(sw._pend_dst),
-        "pend_arr": list(sw._pend_arr),
-        "credits": list(sw._credits),
-        "chain": sorted(sw._chain),
-        "rr_out": sw._rr_out,
-        "rr_in": sw._rr_in,
-        "busy_until": sw._busy_until,
-        "free_due": list(sw._free_due),
-        "credit_due": [list(x) for x in sw._credit_due],
-        "stats_due": [list(x) for x in sw._stats_due],
-        "next_wave_ok": list(sw.next_wave_ok),
-        "out_credits": list(sw._out_credits),
-        "credit_returns": [list(x) for x in sw._credit_returns],
-        "trace_ended_at": sw.trace_ended_at,
-    }
-    body.update(_collectors_doc(sw))
-    return body
-
-
-def _restore_fast(
-    doc: dict,
-    cfg: PipelinedSwitchConfig,
-    source: PacketSource,
-    telemetry: Telemetry | None,
-    sanitizer: Sanitizer | None,
-) -> FastPipelinedSwitch:
-    sw = FastPipelinedSwitch(cfg, source, telemetry=telemetry,
-                             sanitizer=sanitizer)
-    body = doc["switch"]
-    sw.cycle = doc["cycle"]
-    sw._rec[:] = 0
-    mask = sw._mask
-    for uid, arrival, write_init, src, dst in body["records"]:
-        sw._rec[uid & mask] = (arrival, write_init, src, dst)
-    sw._next_uid = body["next_uid"]
-    sw._free = body["free"]
-    sw._peak_occ = body.get("peak", 0)  # absent in version-1 docs
-    sw._queues = [deque(tuple(item) for item in q) for q in body["queues"]]
-    sw._in_uid = list(body["in_uid"])
-    sw._in_next = list(body["in_next"])
-    sw._pend_uid = list(body["pend_uid"])
-    sw._pend_dst = list(body["pend_dst"])
-    sw._pend_arr = list(body["pend_arr"])
-    sw._credits = list(body["credits"])
-    sw._chain = set(body["chain"])
-    sw._rr_out = body["rr_out"]
-    sw._rr_in = body["rr_in"]
-    sw._busy_until = body["busy_until"]
-    sw._free_due = deque(body["free_due"])
-    sw._credit_due = deque(tuple(x) for x in body["credit_due"])
-    sw._stats_due = deque(tuple(x) for x in body["stats_due"])
-    sw.next_wave_ok = list(body["next_wave_ok"])
-    sw._out_credits = list(body["out_credits"])
-    sw._credit_returns = deque(tuple(x) for x in body["credit_returns"])
-    sw.trace_ended_at = body["trace_ended_at"]
-    _collectors_from(body, sw)
-    return sw
-
-
-# ---------------------------------------------------------------------------
 # batch kernel
 # ---------------------------------------------------------------------------
 
@@ -909,14 +822,11 @@ def _kernel_of(switch: Any) -> str:
 
     if type(switch) is PipelinedSwitch:
         return "checked"
-    if type(switch) is FastPipelinedSwitch:
-        return "fast"
     if type(switch) is BatchPipelinedSwitch:
         return "batch"
     raise CheckpointUnsupportedError(
         f"{type(switch).__name__} has no snapshot codec; checkpointable "
-        f"kernels are PipelinedSwitch, FastPipelinedSwitch and "
-        f"BatchPipelinedSwitch"
+        f"kernels are PipelinedSwitch and BatchPipelinedSwitch"
     )
 
 
@@ -933,8 +843,6 @@ def snapshot_switch(switch: Any) -> dict:
     sanitizer = switch.sanitizer if switch._san else None
     if kernel == "checked":
         body = _snap_checked(switch)
-    elif kernel == "fast":
-        body = _snap_fast(switch)
     else:
         body = _snap_batch(switch)
     return {
@@ -962,6 +870,13 @@ def restore_switch(doc: dict) -> Any:
     restore-in-the-same-process are indistinguishable.
     """
     _check_format(doc)
+    kernel = doc["kernel"]
+    if kernel == "fast":
+        raise CheckpointUnsupportedError(
+            "snapshot was taken on the wave-level fast kernel (\"kernel\": "
+            "\"fast\"), which has been removed; re-run the cell from the "
+            "start"
+        )
     cfg = _config_from(doc["config"])
     source = _source_from(doc["source"])
     # Order matters: telemetry first (the kernel constructor resolves its
@@ -969,11 +884,8 @@ def restore_switch(doc: dict) -> Any:
     # aliases telemetry counters), then the kernel.
     telemetry = _telemetry_from(doc["telemetry"])
     sanitizer = _sanitizer_from(doc["sanitizer"], telemetry)
-    kernel = doc["kernel"]
     if kernel == "checked":
         sw = _restore_checked(doc, cfg, source, telemetry, sanitizer)
-    elif kernel == "fast":
-        sw = _restore_fast(doc, cfg, source, telemetry, sanitizer)
     elif kernel == "batch":
         if sanitizer is not None:
             raise CheckpointError(

@@ -21,7 +21,7 @@ Print a Telegraphos silicon report or the [HlKa88] buffer sizing::
 
 Export a Perfetto-loadable trace of the bank pipeline (figure 5, live)::
 
-    python -m repro trace fast --cycles 2000 --out trace.json
+    python -m repro trace batch --cycles 2000 --out trace.json
 
 Run a declarative scenario file, or sweep a whole grid across processes::
 
@@ -163,28 +163,32 @@ def _add_pipelined(sub: argparse._SubParsersAction) -> None:
                    help="credit-based (lossless) flow control")
     p.add_argument("--no-cut-through", action="store_true")
     p.add_argument("--fast", action="store_true",
-                   help="wave-level fast kernel (bit-identical statistics, "
-                        "no per-word invariant checking)")
+                   help="batch kernel (bit-identical statistics, no "
+                        "per-word invariant checking; --sanitize keeps the "
+                        "checked kernel)")
     p.add_argument("--seed", type=int, default=1)
     _add_telemetry_flags(p)
     _add_sanitize_flag(p)
     p.set_defaults(func=cmd_pipelined)
 
 
-def _pipelined_scenario(args, fast: bool, warmup: int):
-    """The Scenario behind a ``repro pipelined`` / ``repro trace`` call."""
+def _pipelined_scenario(args, arch: str, warmup: int):
+    """The Scenario behind a ``repro pipelined`` / ``repro trace`` call.
+
+    Traffic is the per-link renewal tape, which every kernel consumes, so
+    the batch kernel can run the cell and both kernels see one stream."""
     from repro.scenario import Scenario
 
     return Scenario(
         name="pipelined-cli",
-        arch="pipelined_fast" if fast else "pipelined",
+        arch=arch,
         horizon=args.cycles,
         params={
             "n": args.n, "addresses": args.addresses, "width_bits": args.width,
             "quanta": args.quanta, "credit_flow": args.credits,
             "cut_through": not args.no_cut_through,
         },
-        traffic={"kind": "renewal", "load": args.load},
+        traffic={"kind": "renewal_tape", "load": args.load},
         seeds=[args.seed],
         warmup=warmup,
         drain=not args.credits,
@@ -195,8 +199,9 @@ def cmd_pipelined(args) -> int:
     from repro.scenario import prepare
 
     tel = _telemetry_from_args(args)
-    scenario = _pipelined_scenario(args, fast=args.fast,
-                                   warmup=args.cycles // 10)
+    scenario = _pipelined_scenario(
+        args, arch="pipelined_fast" if args.fast else "pipelined",
+        warmup=args.cycles // 10)
     prep = prepare(scenario, telemetry=tel, sanitize=args.sanitize)
     switch, cfg = prep.switch, prep.switch.config
     switch.run(args.cycles)
@@ -229,11 +234,9 @@ def _add_bench(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument("--cycles", type=int, default=30_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--kernel",
-                   choices=["checked", "fast", "batch", "both", "all"],
+    p.add_argument("--kernel", choices=["checked", "batch", "both"],
                    default="both",
-                   help="which kernel(s) to run (both = checked+fast, "
-                        "all = checked+fast+batch)")
+                   help="which kernel(s) to run (both = checked+batch)")
     p.add_argument("--batch-cycles", type=int, default=None,
                    help="batch kernel window size (default 4096)")
     p.add_argument("--policy", metavar="SPEC", default=None,
@@ -245,34 +248,30 @@ def _add_bench(sub: argparse._SubParsersAction) -> None:
                         "default checked)")
     p.add_argument("--json", metavar="FILE", default=None,
                    help="also write the timings as a JSON artifact in the "
-                        "benchmarks/BENCH_fastpath.json result schema")
+                        "benchmarks/BENCH_fastpath.json row schema")
     p.set_defaults(func=cmd_bench)
 
 
 def cmd_bench(args) -> int:
     import time
 
+    from repro.core import DEFAULT_BATCH_CYCLES
     from repro.scenario import Scenario, prepare
-    from repro.scenario.registry import kernel_name
 
     if args.cycles < 1:
         raise SystemExit(f"repro bench: error: --cycles must be >= 1, got {args.cycles}")
 
-    kernel_sets = {"both": ["checked", "fast"],
-                   "all": ["checked", "fast", "batch"]}
-    kernels = kernel_sets.get(args.kernel, [args.kernel])
+    kernels = ["checked", "batch"] if args.kernel == "both" else [args.kernel]
 
-    # E15 scenario 1 shape: 8x8, 128 addresses, drop-tail, load 0.6.  When
-    # the batch kernel is in play every kernel consumes the same pre-drawn
-    # arrival tape (BatchRenewalSource polls scalar-wise for checked/fast),
-    # so delivered/dropped are comparable across all three.
-    traffic_kind = "renewal_tape" if "batch" in kernels else "renewal"
-    arch_names = {"checked": "pipelined", "fast": "pipelined_fast",
-                  "batch": "pipelined_batch"}
+    # E15 scenario 1 shape: 8x8, 128 addresses, drop-tail, load 0.6.  Both
+    # kernels consume the same pre-drawn arrival tape (BatchRenewalSource
+    # polls scalar-wise for the checked kernel), so delivered/dropped are
+    # comparable across them.
+    arch_names = {"checked": "pipelined", "batch": "pipelined_batch"}
     scenario = Scenario(
         name="bench-e15", arch="pipelined", horizon=args.cycles,
         params={"n": 8, "addresses": 128},
-        traffic={"kind": traffic_kind, "load": 0.6},
+        traffic={"kind": "renewal_tape", "load": 0.6},
         seeds=[args.seed], warmup=args.cycles // 10,
     )
     cfg = prepare(scenario).switch.config
@@ -293,7 +292,7 @@ def cmd_bench(args) -> int:
         import cProfile
         import pstats
 
-        kernel = "checked" if args.kernel in kernel_sets else args.kernel
+        kernel = "checked" if args.kernel == "both" else args.kernel
         switch = build(kernel)
         prof = cProfile.Profile()
         prof.enable()
@@ -307,9 +306,8 @@ def cmd_bench(args) -> int:
     rows = []
     timings = {}
     outcomes = {}
-    ran = {}
     for kernel in kernels:
-        # the fast/batch kernels finish quickly enough for scheduling noise
+        # the batch kernel finishes quickly enough for scheduling noise
         # to dominate a single run; keep the cleanest of three
         repeats = 1 if kernel == "checked" else 3
         elapsed = float("inf")
@@ -320,59 +318,56 @@ def cmd_bench(args) -> int:
             elapsed = min(elapsed, time.perf_counter() - t0)
         timings[kernel] = elapsed
         outcomes[kernel] = (switch.stats.delivered, switch.stats.dropped)
-        # pipelined_fast runs the batch kernel whenever it accepts the cell
-        # (here: with --kernel all, whose tape traffic it accepts)
-        ran[kernel] = kernel_name(switch)
         rows.append([
-            kernel, ran[kernel], round(elapsed, 3), round(args.cycles / elapsed),
+            kernel, round(elapsed, 3), round(args.cycles / elapsed),
             switch.stats.delivered, switch.stats.dropped,
         ])
     print(format_table(
-        ["kernel", "ran", "seconds", "cycles/s", "delivered", "dropped"], rows,
+        ["kernel", "seconds", "cycles/s", "delivered", "dropped"], rows,
         title=(f"E15-shaped workload: {cfg.n}x{cfg.n}, {cfg.depth} stages, "
                f"load 0.6, {args.cycles} cycles"),
     ))
-    if "checked" in timings:
-        for kernel in kernels[1:]:
-            label = kernel if ran[kernel] == kernel else (
-                f"{kernel} ({ran[kernel]} kernel)")
-            print(f"{label} speedup over checked: "
-                  f"{timings['checked'] / timings[kernel]:.1f}x")
+    if len(timings) == 2:
+        print(f"batch speedup over checked: "
+              f"{timings['checked'] / timings['batch']:.1f}x")
     if args.json:
         import json
         import platform
 
-        delivered, dropped = outcomes[kernels[-1]]
+        # the row schema benchmarks/record.py writes
+        delivered, dropped = outcomes[kernels[0]]
         result = {
             "experiment": f"bench-e15-n{cfg.n}-seed{args.seed}",
+            "traffic": scenario.traffic.kind,
             "cycles": args.cycles,
             "checked_seconds": timings.get("checked"),
-            "fast_seconds": timings.get("fast"),
-            "batch_seconds": timings.get("batch"),
             "checked_cycles_per_sec": (
-                args.cycles / timings["checked"] if "checked" in timings else None
-            ),
-            "fast_cycles_per_sec": (
-                args.cycles / timings["fast"] if "fast" in timings else None
-            ),
-            "batch_cycles_per_sec": (
-                args.cycles / timings["batch"] if "batch" in timings else None
-            ),
-            "speedup": (
-                timings["checked"] / timings["fast"]
-                if {"checked", "fast"} <= timings.keys() else None
-            ),
-            "batch_speedup": (
-                timings["checked"] / timings["batch"]
-                if {"checked", "batch"} <= timings.keys() else None
+                args.cycles / timings["checked"] if "checked" in timings
+                else None
             ),
             "delivered": delivered,
             "dropped": dropped,
-            "identical": (
-                len(set(outcomes.values())) == 1
-                if len(outcomes) > 1 else None
-            ),
+            "batch": None,
         }
+        if "batch" in timings:
+            delivered, dropped = outcomes["batch"]
+            result["batch"] = {
+                "traffic": scenario.traffic.kind,
+                "cycles": args.cycles,
+                "batch_window": args.batch_cycles or DEFAULT_BATCH_CYCLES,
+                "batch_seconds": timings["batch"],
+                "batch_cycles_per_sec": args.cycles / timings["batch"],
+                "batch_speedup": (
+                    timings["checked"] / timings["batch"]
+                    if "checked" in timings else None
+                ),
+                "delivered": delivered,
+                "dropped": dropped,
+                "identical": (
+                    outcomes["checked"] == outcomes["batch"]
+                    if "checked" in outcomes else None
+                ),
+            }
         artifact = {
             "smoke": args.cycles < 30_000,
             "python": platform.python_version(),
@@ -392,7 +387,7 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
         help="run a pipelined-switch kernel and export a Chrome/Perfetto "
              "trace of the bank pipeline (open at https://ui.perfetto.dev)",
     )
-    p.add_argument("kernel", choices=["checked", "fast"],
+    p.add_argument("kernel", choices=["checked", "batch"],
                    help="which kernel to trace (the streams are equivalent; "
                         "'checked' additionally cross-checks the closed-form "
                         "trace against the word-level WaveTracer)")
@@ -425,7 +420,8 @@ def cmd_trace(args) -> int:
     tel = _telemetry_from_args(args) or Telemetry.on(
         sample_interval=args.sample_interval
     )
-    scenario = _pipelined_scenario(args, fast=(args.kernel == "fast"), warmup=0)
+    arch = "pipelined_batch" if args.kernel == "batch" else "pipelined"
+    scenario = _pipelined_scenario(args, arch=arch, warmup=0)
     prep = prepare(scenario, telemetry=tel)
     switch, cfg = prep.switch, prep.switch.config
     switch.run(args.cycles)

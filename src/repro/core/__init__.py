@@ -9,16 +9,16 @@
 
 from repro.core.arbiter import Priority, WaveArbiter, WriteRequest
 from repro.core.bank import BankConflictError, MemoryBank
-from repro.core.batchpath import DEFAULT_BATCH_CYCLES, BatchPipelinedSwitch
+from repro.core.batchpath import (
+    DEFAULT_BATCH_CYCLES,
+    BatchPipelinedSwitch,
+    FastPathUnsupportedError,
+    make_pipelined_switch,
+)
 from repro.core.buffer_manager import BufferFullError, BufferManager
 from repro.core.bus import Bus, BusContentionError
 from repro.core.control import ControlPipeline, ControlWord, WaveOp
 from repro.core.errors import ConfigError
-from repro.core.fastpath import (
-    FastPathUnsupportedError,
-    FastPipelinedSwitch,
-    make_pipelined_switch,
-)
 from repro.core.latches import InputLatchRow, LatchOverrunError, OutputRegisterRow
 from repro.core.sources import (
     BatchRenewalSource,
@@ -44,7 +44,6 @@ __all__ = [
     "PipelinedSwitchConfig",
     "ConfigError",
     "DeadlineMissedError",
-    "FastPipelinedSwitch",
     "FastPathUnsupportedError",
     "BatchPipelinedSwitch",
     "BatchRenewalSource",

@@ -1,19 +1,18 @@
 """Array-batched kernel for the pipelined-memory switch.
 
-Third tier of the kernel hierarchy.  The checked
+Accelerated tier beside the oracle.  The checked
 :class:`~repro.core.switch.PipelinedSwitch` moves every word through latch,
-bus and bank objects (the oracle); the wave-level
-:class:`~repro.core.fastpath.FastPipelinedSwitch` collapses each wave's
-word-level consequences to arithmetic but still executes one interpreted
-step per cycle; :class:`BatchPipelinedSwitch` removes the per-cycle step
-itself.  It advances the switch in *cycle batches*:
+bus and bank objects and executes one interpreted step per cycle;
+:class:`BatchPipelinedSwitch` collapses each wave's word-level
+consequences to arithmetic and removes the per-cycle step itself.  It
+advances the switch in *cycle batches*:
 
 * **Vectorized arrival ingestion** — the packet source is consumed as a
   *tape*: a whole window of per-link poll outcomes drawn as numpy blocks
   (:class:`~repro.core.sources.BatchRenewalSource`, or the internal
   saturating adapter).  Because a numpy ``Generator`` yields bit-identical
   values whether drawn scalar or as an array, the tape equals the per-cycle
-  poll sequence of the other kernels exactly.
+  poll sequence of the checked kernel exactly.
 * **Event-driven cycle skipping** — with the window's arrivals known in
   advance, the kernel only executes cycles on which the machine can act
   (an arrival, a due buffer release or credit return, an eligible pending
@@ -26,8 +25,8 @@ itself.  It advances the switch in *cycle batches*:
   downstream consequence (departure cycles, latency accumulators, the full
   ARRIVE/STORE_WAVE/CUT_THROUGH/READ_WAVE/DEPART/drop event stream, bulk
   metric increments) is derived from the logs at batch granularity, in the
-  exact order the wave kernel would have produced it — Welford accumulators
-  and float histogram sums are order-sensitive, so the replay order is part
+  exact order the checked kernel records it — Welford accumulators and
+  float histogram sums are order-sensitive, so the replay order is part
   of the contract.
 * **Scalar fallback across intra-window dependencies** — arbitration
   decisions feed each other (a read at ``t`` changes what is eligible at
@@ -46,15 +45,15 @@ itself.  It advances the switch in *cycle batches*:
   the credit returns its held arrivals and the rest of its tape shift by
   the wait (``BatchRenewalSource.delay_link``).
 
-The correctness contract is the three-way equivalence matrix
-(``tests/core/test_batchpath.py``): checked == fast == batch, bit for bit,
-on statistics, wave counters, latency accumulators and telemetry streams.
+The correctness contract is the equivalence matrix
+(``tests/core/test_batchpath.py``): checked == batch, bit for bit, on
+statistics, wave counters, latency accumulators and telemetry streams.
 Configurations this kernel does not replicate exactly — non-READS_FIRST
 arbitration, per-cycle sources it cannot tape, the saturating tape under
 credit flow (its links share one stream, so muting one would reorder the
 draws), an attached runtime sanitizer — are named by :func:`batch_refusal`
-and refused via :func:`~repro.core.fastpath.reject_unsupported`, never
-approximated.
+and refused via :func:`reject_unsupported`, never approximated; they run
+on the checked kernel.
 """
 
 from __future__ import annotations
@@ -69,10 +68,15 @@ from typing import Protocol, cast
 
 import numpy as np
 
-from repro.core.fastpath import reject_unsupported, wave_kernel_refusal
+from repro.core.arbiter import Priority
+from repro.core.errors import ConfigError
 from repro.core.instrumentation import SwitchTelemetryMixin
 from repro.core.sources import BatchRenewalSource, PacketSource, SaturatingSource
-from repro.core.switch import DeadlineMissedError, PipelinedSwitchConfig
+from repro.core.switch import (
+    DeadlineMissedError,
+    PipelinedSwitch,
+    PipelinedSwitchConfig,
+)
 from repro.drc.sanitizer import Sanitizer
 from repro.sim.stats import Counter, Histogram, SwitchStats
 from repro.telemetry import (
@@ -97,6 +101,26 @@ _DROP_CAUSE = (DROP_HEAD_OVERRUN, DROP_QUANTUM_OVERRUN, DROP_POLICY)
 _HEAD, _QUANTUM, _POLICY = 0, 1, 2
 
 
+class FastPathUnsupportedError(ConfigError):
+    """The batch kernel does not model this configuration; use the checked
+    :class:`~repro.core.switch.PipelinedSwitch` instead."""
+
+
+def reject_unsupported(kernel: str, reason: str) -> FastPathUnsupportedError:
+    """Uniform refuse-don't-approximate error for the batch kernel.
+
+    The batch kernel trades generality for speed; any configuration it
+    does not replicate *exactly* must be refused, not approximated.
+    Routing every refusal through this helper keeps the message shape (and
+    the exception type tests rely on) identical across unsupported-config
+    branches.
+    """
+    return FastPathUnsupportedError(
+        f"{kernel} does not model this configuration: {reason} — "
+        f"run it on the checked PipelinedSwitch"
+    )
+
+
 class ArrivalTape(Protocol):
     """Window-batched view of a packet source (see BatchRenewalSource):
     the two calls the kernel makes."""
@@ -115,8 +139,8 @@ class _SaturatingTape:
     ``first, first + W, first + 2W, ...`` and all links stay synchronized.
     Destinations are drawn from the source's own generator in row-major
     (cycle, link) order — exactly the scalar per-poll draw order — so the
-    adapter consumes the *same* ``SaturatingSource`` stream the checked and
-    fast kernels would.
+    adapter consumes the *same* ``SaturatingSource`` stream the checked
+    kernel would.
     """
 
     def __init__(self, source: SaturatingSource) -> None:
@@ -192,36 +216,38 @@ def batch_refusal(
     ``None`` when it models it exactly.
 
     The constructor raises with this reason; the ``pipelined_fast`` arch
-    builds the batch kernel whenever it is ``None`` and the wave kernel
+    builds the batch kernel whenever it is ``None`` and the checked kernel
     otherwise.
     """
-    reason = wave_kernel_refusal(config, source)
-    if reason is not None:
-        return reason
+    if source.n_out != config.n:
+        return f"source targets {source.n_out} outputs, switch has {config.n}"
+    if source.packet_words != config.packet_words:
+        return (f"source packets are {source.packet_words} words, switch "
+                f"needs {config.packet_words} (pipeline depth)")
+    if config.priority is not Priority.READS_FIRST:
+        return (f"only the paper's READS_FIRST arbitration is modelled; "
+                f"{config.priority} is an ablation policy")
     if sanitizer is not None and sanitizer.enabled:
         return ("the runtime sanitizer hooks every cycle and wave, which the "
-                "batch kernel skips by design; sanitize on the checked or "
-                "wave-level kernel")
+                "batch kernel skips by design; sanitize on the checked kernel")
     if isinstance(source, BatchRenewalSource):
         return None
     if not isinstance(source, SaturatingSource):
         return (f"{type(source).__name__} is polled cycle by cycle and "
                 f"cannot be consumed as an arrival tape; use "
-                f"BatchRenewalSource (or SaturatingSource), or the "
-                f"wave-level FastPipelinedSwitch")
+                f"BatchRenewalSource (or SaturatingSource)")
     if config.credit_flow:
         return ("input-credit flow control mutes links one by one, and "
                 "SaturatingSource draws every link from one shared stream, "
                 "so a muted link would reorder the draws; use "
-                "BatchRenewalSource, whose links draw independently, or the "
-                "wave-level FastPipelinedSwitch")
+                "BatchRenewalSource, whose links draw independently")
     return None
 
 
 class BatchPipelinedSwitch(SwitchTelemetryMixin):
     """Cycle-batched kernel: bit-identical statistics at batch granularity.
 
-    Drop-in for the other two kernels wherever statistics and telemetry are
+    Drop-in for the checked kernel wherever statistics and telemetry are
     consumed: same ``run`` / ``drain`` / ``is_empty`` / ``warmup`` API, same
     ``stats``, wave counters and latency collectors, same telemetry stream.
     Statistics become visible at ``run()``/``drain()`` boundaries rather
@@ -423,7 +449,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 # Waves still to issue: advance in windows, stopping the
                 # moment the last queue/pending store resolves so the final
                 # closed-form step above lands on the exact first empty
-                # cycle (the wave kernel's drain length, bit for bit).
+                # cycle (the checked kernel's drain length, bit for bit).
                 self._advance_window(self.cycle + self.batch_cycles,
                                      no_arrivals, no_arrivals, no_arrivals,
                                      draining=True, polling=False)
@@ -624,7 +650,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             # wave), so straddlers left over from the previous window all
             # depart before any wave this window starts.  Replaying them
             # here lets the hot loop below apply in-window departures
-            # inline, in the wave kernel's exact order; a non-draining
+            # inline, in the checked kernel's exact order; a non-draining
             # window always runs to ``stop``, so ``tail < stop`` means the
             # departure is certain to have happened by window end.
             while pending and pending[0][0] < stop:
@@ -968,7 +994,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 # the address until t + W, consume a downstream credit, and
                 # apply the departure.  In-window departures (tail < stop on
                 # a window that runs to stop) are applied inline — waves
-                # start in tail order, so this is the wave kernel's exact
+                # start in tail order, so this is the checked kernel's exact
                 # departure order; straddlers go to the pending deque.
                 tw = t + w
                 next_ok[j] = tw
@@ -1259,9 +1285,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
     def _flush(self) -> None:
         """Apply the window logs: departures, stats, the telemetry stream.
 
-        Everything the wave kernel computes per cycle is derived here in
-        closed form from the admission logs, *in the order the wave kernel
-        would have produced it* — departure consequences replay in tail
+        Everything the checked kernel records per cycle is derived here in
+        closed form from the admission logs, *in the order the checked
+        kernel records it* — departure consequences replay in tail
         order (Welford accumulators and histogram float sums are
         order-sensitive), occupancy samples in sampling order.
         """
@@ -1322,7 +1348,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # Departure-bearing waves (READ / WRITE_CT) schedule a completion at
         # tail = t0 + W + wire_delay; admission order == tail order, so one
         # pass over (pending from earlier windows) + (this window's log)
-        # replays the wave kernel's departure processing exactly.
+        # replays the checked kernel's departure processing exactly.
         for t0, kind, uid, src, dst, arr in self._wave_log:
             if kind != _STORE:
                 pending.append((t0 + w + extra, uid, arr, src, dst, t0))
@@ -1419,3 +1445,45 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._drop_log.clear()
         self._arrive_log.clear()
         self._sample_log.clear()
+
+
+def make_pipelined_switch(
+    config: PipelinedSwitchConfig,
+    source: PacketSource,
+    telemetry: Telemetry | None = None,
+    sanitizer: Sanitizer | None = None,
+    kernel: str = "checked",
+    batch_cycles: int | None = None,
+) -> PipelinedSwitch | BatchPipelinedSwitch:
+    """Build one of the two kernels: the checked oracle or the batch kernel.
+
+    Select with ``kernel`` (``"checked"`` / ``"batch"``).  Both produce
+    bit-identical statistics on the same seed; the batch kernel skips every
+    structural-invariant check and advances in cycle batches over an
+    arrival tape (``batch_cycles`` sets the window).  Pass a
+    :class:`~repro.telemetry.Telemetry` bundle to collect metrics and
+    lifecycle events — the streams are equivalent between kernels.
+
+    Every invalid configuration — bad :class:`PipelinedSwitchConfig`
+    fields, a source whose shape does not match the switch, or a
+    configuration the batch kernel does not model — raises
+    :class:`~repro.core.errors.ConfigError` (a ``ValueError``), never a
+    bare assertion or type-specific exception, so callers can surface one
+    clean error instead of a traceback.
+    """
+    if kernel == "batch":
+        return BatchPipelinedSwitch(
+            config, source, telemetry=telemetry, sanitizer=sanitizer,
+            batch_cycles=DEFAULT_BATCH_CYCLES if batch_cycles is None
+            else batch_cycles,
+        )
+    if kernel != "checked":
+        raise ConfigError(
+            f"unknown kernel {kernel!r}: expected 'checked' or 'batch'"
+        )
+    if batch_cycles is not None:
+        raise ConfigError(
+            "batch_cycles only applies to the batch kernel, not 'checked'"
+        )
+    return PipelinedSwitch(config, source, telemetry=telemetry,
+                           sanitizer=sanitizer)

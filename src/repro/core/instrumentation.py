@@ -1,17 +1,17 @@
 """Shared telemetry plumbing for the two pipelined-switch kernels.
 
 :class:`SwitchTelemetryMixin` owns everything that must behave *identically*
-in the checked :class:`~repro.core.switch.PipelinedSwitch` and the fast
-:class:`~repro.core.fastpath.FastPipelinedSwitch`: metric-handle resolution,
-wave/drop emission, and the periodic occupancy sample.  Keeping it in one
-place is what makes "checked and fast telemetry are equivalent" a structural
-property rather than two copies drifting apart — the kernels only provide
-:meth:`_telemetry_state`, their view of occupancy/free/credits at the
-sampling instant.
+in the checked :class:`~repro.core.switch.PipelinedSwitch` and the batch
+:class:`~repro.core.batchpath.BatchPipelinedSwitch`: metric-handle
+resolution, wave/drop emission, and the periodic occupancy sample.  Keeping
+it in one place is what makes "checked and batch telemetry are equivalent"
+a structural property rather than two copies drifting apart — the kernels
+only provide :meth:`_telemetry_state`, their view of occupancy/free/credits
+at the sampling instant.
 
 Sampling instant: the *start* of a cycle, before any of the cycle's waves,
 deliveries or arrivals.  The checked model reaches that state through its
-phase machinery, the fast kernel through its due-queues; the equivalence
+phase machinery, the batch kernel through its window logs; the equivalence
 tests compare the sampled series element by element.
 """
 
@@ -155,7 +155,7 @@ class SwitchTelemetryMixin:
         """High-water mark of addresses in use, updated at every allocation.
 
         Both kernels see releases become visible at the same arbitration
-        instants (the fast kernel's ``_free_due`` pops reproduce the checked
+        instants (the batch kernel's due releases reproduce the checked
         model's phase-3 frees), so tracking the maximum after each write
         admission yields exactly ``BufferManager.peak_occupancy``.
         """
@@ -167,7 +167,7 @@ class SwitchTelemetryMixin:
 
         Bank access counts are attributed here, at admission — each wave
         chain touches every bank ``quanta`` times, so the closed form is
-        exact and identical between the checked and fast kernels (the
+        exact and identical between the checked and batch kernels (the
         word-level truth of when each bank executes is the WaveTracer's
         job, not the metrics registry's).
         """

@@ -68,7 +68,7 @@ _FACTORY_OPTION_KEYWORDS = frozenset({"edges"})
 #: word-level kernels that must expose the harness ``run`` interface (DRC131)
 #: and be reachable from the scenario registry (DRC121)
 _WORD_KERNELS = frozenset({
-    "PipelinedSwitch", "FastPipelinedSwitch", "BatchPipelinedSwitch",
+    "PipelinedSwitch", "BatchPipelinedSwitch",
     "WideMemorySwitch", "SplitPipelinedBuffer",
 })
 

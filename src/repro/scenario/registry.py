@@ -5,7 +5,7 @@ for one of the four model families:
 
 * ``slotted`` — the §2 cell-per-slot architectures (:mod:`repro.switches`);
 * ``word`` — the word/cycle-accurate kernels (:mod:`repro.core`): the
-  checked and fast pipelined-memory switches, the wide-memory baseline,
+  checked and batch pipelined-memory switches, the wide-memory baseline,
   and the §3.5 split buffer;
 * ``fabric`` — the omega multistage fabric, with any slotted architecture
   as its element;
@@ -210,19 +210,19 @@ def _pipelined_config(p):
 
 def _build_pipelined(p, source, telemetry, sanitizer=None):
     from repro.core import make_pipelined_switch
-    return make_pipelined_switch(_pipelined_config(p), source, fast=False,
+    return make_pipelined_switch(_pipelined_config(p), source,
                                  telemetry=telemetry, sanitizer=sanitizer)
 
 
 def _build_pipelined_fast(p, source, telemetry, sanitizer=None):
-    """The batch kernel whenever it models the cell, else the wave kernel:
-    both are bit-identical to the checked one, and the batch kernel skips
-    idle cycles.  ``run.kernel`` in the result says which one ran."""
+    """The batch kernel whenever it models the cell, else the checked one:
+    the batch kernel is bit-identical to the checked one and skips idle
+    cycles.  ``run.kernel`` in the result says which one ran."""
     from repro.core import make_pipelined_switch
     from repro.core.batchpath import batch_refusal
 
     cfg = _pipelined_config(p)
-    kernel = "fast" if batch_refusal(cfg, source, sanitizer) else "batch"
+    kernel = "checked" if batch_refusal(cfg, source, sanitizer) else "batch"
     return make_pipelined_switch(cfg, source, kernel=kernel,
                                  telemetry=telemetry, sanitizer=sanitizer)
 
@@ -282,7 +282,7 @@ _register(ArchitectureDef(
 _register(ArchitectureDef(
     name="pipelined_fast", kind=WORD,
     description="fastest bit-identical kernel: the batch kernel when it "
-                "models the cell, else the wave-level fast kernel",
+                "models the cell, else the checked kernel",
     params=_PIPELINED_PARAMS, build=_WORD_BUILDERS["pipelined_fast"],
     telemetry_ok=True, drain_ok=True, sanitize_ok=True,
 ))
@@ -554,14 +554,12 @@ class Prepared:
 
 
 def kernel_name(switch: Any) -> str:
-    """The kernel tier that ran a word cell: ``batch``, ``fast``, or
-    ``checked`` for the word-by-word models (the oracle, wide, split)."""
-    from repro.core import BatchPipelinedSwitch, FastPipelinedSwitch
+    """The kernel tier that ran a word cell: ``batch``, or ``checked`` for
+    the word-by-word models (the oracle, wide, split)."""
+    from repro.core import BatchPipelinedSwitch
 
     if isinstance(switch, BatchPipelinedSwitch):
         return "batch"
-    if isinstance(switch, FastPipelinedSwitch):
-        return "fast"
     return "checked"
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
@@ -106,18 +107,28 @@ def _run_job_checkpointed(
     Resumes from ``<out_dir>/checkpoints/<name>-seed<seed>.ckpt.json``
     when it exists (skipping ``prepare()`` entirely — the snapshot carries
     the packet-uid counter, RNG streams and all attachments), then runs in
-    ``every``-cycle steps, saving a snapshot after each.  The final
-    summary goes through the same :func:`execute_prepared` path as an
-    uninterrupted run, so the result is bit-identical.
+    ``every``-cycle steps, saving a snapshot after each.  A snapshot the
+    checkpoint subsystem refuses (say, one from a removed kernel) costs
+    only that cell's progress: the cell re-runs from cycle 0 and the
+    reason goes to stderr.  The final summary goes through the same
+    :func:`execute_prepared` path as an uninterrupted run, so the result
+    is bit-identical.
     """
     from repro import checkpoint
 
     scenario_dict, seed, out_dir, sanitize, every = job
     scenario = Scenario.from_dict(scenario_dict)
     ckpt = _checkpoint_path(out_dir, scenario.name, seed)
+    prep = None
     if ckpt.exists():
-        prep = prepared_from_switch(scenario, seed, checkpoint.restore(ckpt))
-    else:
+        try:
+            switch = checkpoint.restore(ckpt)
+        except checkpoint.CheckpointUnsupportedError as exc:
+            print(f"repro: {scenario.name}-seed{seed}: re-running from "
+                  f"cycle 0: {exc}", file=sys.stderr)
+        else:
+            prep = prepared_from_switch(scenario, seed, switch)
+    if prep is None:
         prep = prepare(scenario, seed, sanitize=sanitize)
     if live_cb is not None:
         live_cb(scenario.name, seed, prep.telemetry)

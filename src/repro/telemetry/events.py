@@ -14,12 +14,12 @@ drop       packet lost, with a machine-readable cause     ``src`` (input)
 ========== ============================================== ==================
 
 The checked :class:`~repro.core.switch.PipelinedSwitch` emits these as the
-words actually move; :class:`~repro.core.fastpath.FastPipelinedSwitch`
+words actually move; :class:`~repro.core.batchpath.BatchPipelinedSwitch`
 derives the identical events in closed form from each wave's admission
 cycle.  ``tests/core/test_telemetry_equivalence.py`` pins the two streams
 to each other, which is a far finer equivalence than end-of-run totals.
 
-Event ordering *within a cycle* is an implementation detail (the fast
+Event ordering *within a cycle* is an implementation detail (the batch
 kernel computes some consequences earlier than the checked model observes
 them), so comparisons and exports use :meth:`EventLog.sorted_events`.
 """

@@ -20,7 +20,6 @@ from repro.checkpoint import (
 from repro.core import (
     BatchPipelinedSwitch,
     BatchRenewalSource,
-    FastPipelinedSwitch,
     PipelinedSwitch,
     PipelinedSwitchConfig,
 )
@@ -29,7 +28,6 @@ from repro.sim.packet import reset_packet_ids
 
 KERNELS = {
     "checked": PipelinedSwitch,
-    "fast": FastPipelinedSwitch,
     "batch": BatchPipelinedSwitch,
 }
 
@@ -63,7 +61,7 @@ def test_resume_bit_identical_under_policy(kernel, policy):
 
 
 def test_policy_drops_counter_round_trips():
-    sw = _build("fast", "static:cap=2")
+    sw = _build("batch", "static:cap=2")
     sw.run(2500)
     assert sw.policy_drops > 0
     doc = snapshot_switch(sw)
@@ -75,7 +73,7 @@ def test_v1_document_restores_as_complete_sharing():
     """A pre-policy (version 1) snapshot has no policy spec, no
     policy_state, and six-element wave counters; it must restore exactly
     as the seed semantics: complete sharing, zero policy drops."""
-    sw = _build("fast", "complete")
+    sw = _build("batch", "complete")
     sw.run(800)
     doc = json.loads(json.dumps(snapshot_switch(sw)))
     doc["version"] = 1

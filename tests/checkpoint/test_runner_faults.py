@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from repro import fileio
+from repro import checkpoint, fileio
+from repro.scenario import prepare
 from repro.scenario.runner import ScenarioRunner
 from repro.scenario.spec import Scenario
 
@@ -17,7 +18,7 @@ def _scenario(name, horizon, load=0.7, seed=3):
     return Scenario.from_dict(dict(
         name=name, arch="pipelined_fast", horizon=horizon, warmup=200,
         params={"n": 4, "addresses": 32},
-        traffic={"kind": "renewal", "load": load}, seeds=[seed],
+        traffic={"kind": "renewal_tape", "load": load}, seeds=[seed],
     ))
 
 
@@ -54,6 +55,44 @@ def test_edited_grid_does_not_reuse_stale_cell(tmp_path):
     fresh = ScenarioRunner(jobs=1, out_dir=tmp_path / "fresh").run(edited)
     assert resumed == fresh
     assert resumed[0]["traffic"]["load"] == 0.9
+
+
+def _jit_doc(doc):
+    doc["switch"]["jit"] = True  # the batch kernel's removed array core
+
+
+def _fast_doc(doc):
+    doc["kernel"] = "fast"  # the removed wave-level kernel
+
+
+@pytest.mark.parametrize("tamper", [_jit_doc, _fast_doc],
+                         ids=["jit", "fast-kernel"])
+def test_refused_checkpoint_reruns_only_that_cell(tmp_path, capsys, tamper):
+    """A checkpoint the codec refuses costs that cell its progress, not the
+    sweep: the cell re-runs from cycle 0, stderr names it and the reason,
+    and the merged results equal an uninterrupted sweep's."""
+    clean = ScenarioRunner(jobs=1, out_dir=tmp_path / "clean").run(GRID)
+    out = tmp_path / "sweep"
+    ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400).run(GRID)
+    (out / "results.json").unlink()
+    (out / "cell-b-seed3.json").unlink()
+    # cell-b was killed mid-run, leaving a snapshot of cycle 800
+    sw = prepare(GRID[1], 3).switch
+    sw.run(800)
+    ckpt = out / "checkpoints" / "cell-b-seed3.ckpt.json"
+    doc = checkpoint.snapshot_switch(sw)
+    tamper(doc)
+    ckpt.write_text(json.dumps(doc))
+
+    resumed = ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400,
+                             resume=True).run(GRID)
+    assert resumed == clean
+    assert (json.loads((out / "results.json").read_text())
+            == json.loads((tmp_path / "clean" / "results.json").read_text()))
+    err = capsys.readouterr().err
+    assert "cell-b-seed3" in err and "re-run the cell from the start" in err
+    assert "cell-a" not in err and "cell-c" not in err
+    assert checkpoint.load(ckpt)["kernel"] == "batch"  # rewritten by the re-run
 
 
 def test_write_atomic_keeps_old_file_when_interrupted(tmp_path, monkeypatch):

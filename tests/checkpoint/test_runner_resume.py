@@ -18,7 +18,7 @@ def _scenario(name, horizon, warmup=200, arch="pipelined_fast", load=0.7,
               seed=3, telemetry=False):
     spec = dict(name=name, arch=arch, horizon=horizon, warmup=warmup,
                 params={"n": 4, "addresses": 32},
-                traffic={"kind": "renewal", "load": load}, seeds=[seed])
+                traffic={"kind": "renewal_tape", "load": load}, seeds=[seed])
     if telemetry:
         spec["telemetry"] = {"metrics": True, "events": True}
     return Scenario.from_dict(spec)

@@ -1,8 +1,8 @@
-"""Bit-identical checkpoint/restore across all three kernel tiers.
+"""Bit-identical checkpoint/restore across both kernel tiers.
 
 The contract: ``run(N)`` equals ``run(k); save; restore; run(N - k)`` in
 every statistic, latency histogram, drop-taxonomy entry and telemetry
-event — for the checked, fast and batch kernels, through a real JSON
+event — for the checked and batch kernels, through a real JSON
 round trip, including k inside a batch window and mid-packet-chain.
 
 Every round trip here is also a completeness oracle: the restored switch
@@ -39,7 +39,6 @@ from repro.checkpoint import (
 )
 from repro.core import (
     BatchRenewalSource,
-    FastPipelinedSwitch,
     PipelinedSwitch,
     PipelinedSwitchConfig,
     RenewalPacketSource,
@@ -52,7 +51,7 @@ from repro.obs.series import SeriesRing
 from repro.sim.packet import reset_packet_ids, set_packet_id_state
 from repro.telemetry import Telemetry
 
-KERNELS = ("checked", "fast", "batch")
+KERNELS = ("checked", "batch")
 
 #: A trace that runs dry near cycle 50 (the batch kernel refuses traces).
 TRACE_SCHEDULE = {0: [(0, 1), (10, 2)], 1: [(5, 3)], 2: [], 3: [(40, 0)]}
@@ -77,8 +76,6 @@ def _build(kernel, *, n=4, addresses=32, load=0.7, seed=42, telemetry=False,
     san = Sanitizer(telemetry=tel) if sanitize else None
     if kernel == "checked":
         return PipelinedSwitch(cfg, src, telemetry=tel, sanitizer=san)
-    if kernel == "fast":
-        return FastPipelinedSwitch(cfg, src, telemetry=tel, sanitizer=san)
     return make_pipelined_switch(cfg, src, telemetry=tel, kernel="batch",
                                  batch_cycles=batch_cycles)
 
@@ -96,9 +93,6 @@ EXEMPT = {
     r"PipelinedSwitch\.sinks\[\d+\]\.delivered":
         "delivery history kept for tests; the kernel reads only [-1], in "
         "the same call that appends it",
-    r"FastPipelinedSwitch\._rec":
-        "per-uid scratch ring; the codec keeps the rows of live packets, and "
-        "the rows that differ belong to retired ones",
     r"BatchPipelinedSwitch\._bits": "mask cache, filled on use",
     r"BatchPipelinedSwitch\._first": "per-output mask caches, filled on use",
     r"BatchPipelinedSwitch\._pend_dbit":
@@ -267,7 +261,7 @@ def test_kernel_subclass_is_refused(kernel):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    kernel=st.sampled_from(["checked", "fast", "batch"]),
+    kernel=st.sampled_from(KERNELS),
     n=st.sampled_from([2, 4]),
     addresses=st.sampled_from([16, 32]),
     quanta=st.sampled_from([1, 2]),
@@ -302,7 +296,7 @@ def test_k_inside_batch_window():
 def test_k_mid_packet_chain():
     """quanta=2 saturating traffic keeps multi-quantum chains in flight at
     every cycle, so k=251 necessarily splits packets mid-chain."""
-    for kernel in ("checked", "fast"):
+    for kernel in KERNELS:
         _assert_resume_identical(
             lambda: _build(kernel, quanta=2, traffic="saturating", seed=7),
             n_total=600, k=251)
@@ -321,21 +315,20 @@ def test_batch_saturating_tape_cursor_restored():
 
 
 def test_trace_source_resume_and_exhaustion():
-    for kernel in ("checked", "fast"):
-        ref = _build(kernel, traffic="trace")
-        ref.run(10_000)
-        assert ref.trace_ended_at is not None
-        assert ref.cycle == ref.trace_ended_at < 10_000  # early termination
-        assert ref.stats.delivered == 4
-        sw = _build(kernel, traffic="trace")
-        sw.run(30)
-        resumed = restore_switch(snapshot_switch(sw))
-        resumed.run(10_000 - 30)
-        assert fingerprint(resumed) == fingerprint(ref)
-        # resuming a finished run burns zero cycles (stable fixed point)
-        before = ref.cycle
-        ref.run(100)
-        assert ref.cycle == before
+    ref = _build("checked", traffic="trace")
+    ref.run(10_000)
+    assert ref.trace_ended_at is not None
+    assert ref.cycle == ref.trace_ended_at < 10_000  # early termination
+    assert ref.stats.delivered == 4
+    sw = _build("checked", traffic="trace")
+    sw.run(30)
+    resumed = restore_switch(snapshot_switch(sw))
+    resumed.run(10_000 - 30)
+    assert fingerprint(resumed) == fingerprint(ref)
+    # resuming a finished run burns zero cycles (stable fixed point)
+    before = ref.cycle
+    ref.run(100)
+    assert ref.cycle == before
 
 
 def _pre_removal_batch_doc(*, jit):
@@ -376,9 +369,10 @@ def test_pre_removal_batch_doc_with_jit_is_refused():
 #: ``batch_lean_v2``: n=4, quanta=1, telemetry off, saturating traffic,
 #: saved at cycle 137 with due events (``lean_due``, encoded
 #: cycle << 12 | output bit) and pending departures in flight.
-#: ``pipelined_fast_credit_v2``: a fast-kernel document of a credit-flow
-#: ``pipelined_fast`` cell, saved at cycle 1237 when that arch always ran
-#: the wave kernel, with the cell's spec and its uninterrupted stats.
+#: ``pipelined_fast_credit_v2``: a document of the since-removed wave-level
+#: kernel, from a credit-flow ``pipelined_fast`` cell saved at cycle 1237
+#: when that arch always ran it, with the cell's spec and its uninterrupted
+#: stats.
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -423,36 +417,29 @@ def test_credited_batch_resumes_identically(k, muted, telemetry):
                              n_total=1500, k=k)
 
 
-def test_parent_fast_credit_doc_resumes_in_a_sweep(tmp_path):
-    """A ``pipelined_fast`` credit-flow checkpoint written when that arch
-    always ran the wave kernel is a fast-kernel document.  A resumed sweep
-    finishes it on the wave kernel, with the result of an uninterrupted
-    run, which now runs on the batch kernel."""
-    from repro.scenario import Scenario
-    from repro.scenario.runner import ScenarioRunner
+def test_fast_kernel_doc_is_refused():
+    """The wave-level kernel is gone, so its documents are refused with the
+    reason rather than resumed on a kernel they were not written for.  The
+    cell itself still reaches the recorded stats, now on the batch kernel."""
+    from repro.scenario import Scenario, run_scenario
 
     fixture = json.loads((FIXTURES / "pipelined_fast_credit_v2.json")
                          .read_text())
     doc = fixture["doc"]
     assert doc["kernel"] == "fast" and doc["cycle"] == 1237
-    sc = Scenario.from_dict(fixture["scenario"])
-    seed = fixture["seed"]
-    [fresh] = ScenarioRunner(jobs=1).run(sc)
-    ckpt = tmp_path / "checkpoints" / f"{sc.name}-seed{seed}.ckpt.json"
-    ckpt.parent.mkdir()
-    ckpt.write_text(json.dumps(doc))
-    [resumed] = ScenarioRunner(jobs=1, out_dir=tmp_path, checkpoint_every=500,
-                               resume=True).run(sc)
-    assert fresh.pop("run") == {"kernel": "batch"}
-    assert resumed.pop("run") == {"kernel": "fast"}
-    assert resumed == fresh
+    with pytest.raises(CheckpointUnsupportedError,
+                       match="fast kernel.*re-run the cell"):
+        restore_switch(doc)
+    fresh = run_scenario(Scenario.from_dict(fixture["scenario"]),
+                         fixture["seed"])
+    assert fresh["run"] == {"kernel": "batch"}
     assert fresh["stats"] == fixture["stats"]
 
 
 # -- save/load plumbing -------------------------------------------------------
 
 def test_save_load_restore_roundtrip(tmp_path):
-    sw = _build("fast", seed=9)
+    sw = _build("batch", seed=9)
     sw.run(250)
     path = tmp_path / "deep" / "state.ckpt.json"
     doc = save(sw, path)

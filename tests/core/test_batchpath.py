@@ -1,4 +1,4 @@
-"""Equivalence of the array-batched kernel with the checked and fast kernels.
+"""Equivalence of the array-batched kernel with the checked kernel.
 
 `BatchPipelinedSwitch` must reproduce the checked `PipelinedSwitch` *bit
 for bit* — statistics, latency accumulators (Welford means compared as
@@ -11,7 +11,7 @@ window, drain or warmup landing mid-batch) are pinned explicitly.
 
 The tape-consumable sources are part of the contract: `BatchRenewalSource`
 must produce the same arrival stream whether polled cycle by cycle
-(checked/fast kernels) or consumed in vectorized batches (batch kernel),
+(checked kernel) or consumed in vectorized batches (batch kernel),
 which is what makes cross-kernel equivalence on the same object possible.
 """
 
@@ -26,9 +26,9 @@ from repro.core import (
     BatchRenewalSource,
     DeadlineMissedError,
     FastPathUnsupportedError,
-    FastPipelinedSwitch,
     PipelinedSwitch,
     PipelinedSwitchConfig,
+    Priority,
     RenewalPacketSource,
     SaturatingSource,
     make_pipelined_switch,
@@ -148,16 +148,12 @@ def _assert_fp_equal(want_fp, got_fp, label):
 
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("cfg_kwargs,make_source,load,seed,warmup", MATRIX)
-    def test_bit_identical_to_checked_and_fast(self, cfg_kwargs, make_source,
-                                               load, seed, warmup):
+    def test_bit_identical_to_checked(self, cfg_kwargs, make_source, load,
+                                      seed, warmup):
         cfg = PipelinedSwitchConfig(**cfg_kwargs)
         checked, drains_c = _run_reference(PipelinedSwitch, cfg, make_source,
                                            load, seed, warmup)
-        fast, drains_f = _run_reference(FastPipelinedSwitch, cfg, make_source,
-                                        load, seed, warmup)
         fp = _fingerprint(checked)
-        _assert_fp_equal(fp, _fingerprint(fast), "fast")
-        assert drains_f == drains_c
         for batch in BATCH_SIZES:
             batch_sw, drains_b = _run_batch(cfg, make_source, load, seed,
                                             warmup, batch)
@@ -172,7 +168,7 @@ class TestEquivalenceMatrix:
         cfg = PipelinedSwitchConfig(n=2, addresses=2, credit_flow=True,
                                     credits_per_input=4)
         errors = set()
-        for kernel in ("checked", "fast", "batch"):
+        for kernel in ("checked", "batch"):
             reset_packet_ids()
             sw = make_pipelined_switch(cfg, _renewal(cfg, 1.0, 1),
                                        kernel=kernel)
@@ -196,21 +192,20 @@ class TestTelemetryEquivalence:
                 sw = BatchPipelinedSwitch(cfg, make_source(cfg, load, seed),
                                           telemetry=tel, batch_cycles=256)
             else:
-                cls = PipelinedSwitch if kernel == "checked" else FastPipelinedSwitch
-                sw = cls(cfg, make_source(cfg, load, seed), telemetry=tel)
+                sw = PipelinedSwitch(cfg, make_source(cfg, load, seed),
+                                     telemetry=tel)
             sw.warmup = warmup
             sw.run(cycles)
             sw.drain()
             return tel
 
         ref = run("checked")
-        for kernel in ("fast", "batch"):
-            tel = run(kernel)
-            assert ref.events.sorted_events() == tel.events.sorted_events(), \
-                f"checked/{kernel} event streams diverge"
-            assert ref.events.drop_taxonomy() == tel.events.drop_taxonomy()
-            assert ref.samples == tel.samples
-            assert ref.metrics.as_dict() == tel.metrics.as_dict()
+        tel = run("batch")
+        assert ref.events.sorted_events() == tel.events.sorted_events(), \
+            "checked/batch event streams diverge"
+        assert ref.events.drop_taxonomy() == tel.events.drop_taxonomy()
+        assert ref.samples == tel.samples
+        assert ref.metrics.as_dict() == tel.metrics.as_dict()
 
 
 class TestBatchBoundaries:
@@ -387,8 +382,20 @@ class TestRefusals:
         with pytest.raises(FastPathUnsupportedError, match="batch_cycles"):
             BatchPipelinedSwitch(cfg, _renewal(cfg, 0.5, 1), batch_cycles=0)
 
+    @pytest.mark.parametrize("priority", [Priority.WRITES_FIRST,
+                                          Priority.OLDEST_FIRST])
+    def test_refuses_unmodeled_priority(self, priority):
+        cfg = PipelinedSwitchConfig(n=4, addresses=32, priority=priority)
+        with pytest.raises(FastPathUnsupportedError, match="READS_FIRST"):
+            BatchPipelinedSwitch(cfg, _renewal(cfg, 0.5, 1))
+
 
 class TestFactory:
+    def test_factory_selects_kernel(self):
+        cfg = PipelinedSwitchConfig(n=4, addresses=32)
+        assert isinstance(make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1)),
+                          PipelinedSwitch)
+
     def test_factory_selects_batch_kernel(self):
         cfg = PipelinedSwitchConfig(n=4, addresses=32)
         sw = make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1), kernel="batch",
@@ -399,7 +406,9 @@ class TestFactory:
     def test_factory_rejects_batch_options_elsewhere(self):
         cfg = PipelinedSwitchConfig(n=4, addresses=32)
         with pytest.raises(ValueError, match="batch_cycles"):
-            make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1), kernel="fast",
-                                  batch_cycles=128)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1), kernel="warp")
+            make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1),
+                                  kernel="checked", batch_cycles=128)
+        for kernel in ("fast", "warp"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                make_pipelined_switch(cfg, _renewal(cfg, 0.5, 1),
+                                      kernel=kernel)

@@ -188,10 +188,7 @@ def test_drc121_word_kernel_reachable_via_factory_clean(tmp_path):
         "src/repro/core/batchpath.py": (
             "class BatchPipelinedSwitch:\n"
             "    def run(self): pass\n"
-        ),
-        "src/repro/core/fastpath.py": (
-            "def make_pipelined_switch(cfg, src, kernel=None):\n"
-            "    from repro.core.batchpath import BatchPipelinedSwitch\n"
+            "def make_pipelined_switch(cfg, src, kernel='checked'):\n"
             "    return BatchPipelinedSwitch(cfg, src)\n"
         ),
         "src/repro/scenario/registry.py": "REGISTRY = {}\n",

@@ -3,8 +3,9 @@
 The seeded-fault tests against the checked kernel live in
 ``tests/core/test_failure_injection.py``; this file covers the sanitizer
 as a component (hooks, halt modes, pickling, telemetry export), the
-kernel parity guarantee (checked and fast kernels produce identical
-sanitizer summaries), and the scenario-layer plumbing (``--sanitize``
+arch parity guarantee (a sanitized ``pipelined_fast`` cell runs on the
+checked kernel and reports the ``pipelined`` cell's summary), and the
+scenario-layer plumbing (``--sanitize``
 through ``run_scenario`` and parallel ``ScenarioRunner`` sweeps).
 """
 
@@ -12,9 +13,6 @@ import pickle
 
 import pytest
 
-from repro.core import RenewalPacketSource
-from repro.core.fastpath import make_pipelined_switch
-from repro.core.switch import PipelinedSwitchConfig
 from repro.drc.sanitizer import (
     BANK_CONFLICT,
     CONSERVATION,
@@ -124,24 +122,6 @@ def test_violation_counters_exported_through_telemetry():
     assert "repro_sanitizer_cycles_total 1" in text
 
 
-# -- kernel parity ------------------------------------------------------------
-
-def test_checked_and_fast_kernels_agree_on_sanitizer_summary():
-    """Both kernels run sanitized over the same traffic: identical ledger,
-    zero violations — the fast kernel honours the same invariants."""
-    summaries = {}
-    for fast in (False, True):
-        cfg = PipelinedSwitchConfig(n=4, addresses=16)
-        src = RenewalPacketSource(4, cfg.packet_words, 0.9, seed=11)
-        san = Sanitizer()
-        sw = make_pipelined_switch(cfg, src, fast=fast, sanitizer=san)
-        sw.run(2_000)
-        summaries[fast] = san.summary()
-    assert summaries[False] == summaries[True]
-    assert summaries[False]["violations"] == 0
-    assert summaries[False]["injected"] > 100
-
-
 # -- scenario-layer plumbing --------------------------------------------------
 
 def _scenario(arch: str = "pipelined", **over) -> Scenario:
@@ -180,6 +160,22 @@ def test_sanitize_rejected_for_uninstrumented_architecture():
         run_scenario(_scenario(arch="wide"), seed=3, sanitize=True)
     with pytest.raises(ScenarioError, match="sanitize"):
         ScenarioRunner(jobs=1, sanitize=True).run(_scenario(arch="wide"))
+
+
+def test_sanitized_fast_arch_runs_checked_kernel():
+    """The batch kernel refuses sanitizers, so a sanitized ``pipelined_fast``
+    cell runs on the checked kernel, tape traffic included: the same
+    ledger as ``pipelined``, zero violations."""
+    spec = dict(horizon=2_000, params={"n": 4, "addresses": 16},
+                traffic={"kind": "renewal_tape", "load": 0.9})
+    checked = run_scenario(_scenario(**spec), seed=11, sanitize=True)
+    fast = run_scenario(_scenario(arch="pipelined_fast", **spec), seed=11,
+                        sanitize=True)
+    assert fast["run"] == {"kernel": "checked"}
+    assert fast["sanitizer"] == checked["sanitizer"]
+    assert fast["stats"] == checked["stats"]
+    assert checked["sanitizer"]["violations"] == 0
+    assert checked["sanitizer"]["injected"] > 100
 
 
 def test_parallel_sanitized_sweep_bit_identical():

@@ -23,7 +23,7 @@ def _scenarios(seeds=(1, 2), horizon=3000):
     return [Scenario(
         name="obs-sweep", arch="pipelined_fast", horizon=horizon,
         params={"n": 4, "addresses": 64},
-        traffic={"kind": "renewal", "load": 0.7},
+        traffic={"kind": "renewal_tape", "load": 0.7},
         seeds=list(seeds),
         telemetry={"metrics": True, "sample_interval": 64, "series": 128},
     )]

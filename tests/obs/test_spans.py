@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.core import (
-    FastPipelinedSwitch,
+    PipelinedSwitch,
     PipelinedSwitchConfig,
     RenewalPacketSource,
     SaturatingSource,
@@ -34,7 +34,7 @@ def _run(rate=1.0, seed=1, cycles=600, droppy=False):
         src = RenewalPacketSource(n_out=4, packet_words=cfg.packet_words,
                                   load=0.6, seed=seed)
     tel = Telemetry.on(events=SampledEventLog(rate, seed=7))
-    sw = FastPipelinedSwitch(cfg, src, telemetry=tel)
+    sw = PipelinedSwitch(cfg, src, telemetry=tel)
     sw.run(cycles)
     sw.drain()
     return sw, cfg, tel

@@ -1,6 +1,8 @@
 """Tests for the architecture registry: coverage of every kernel,
 validation errors, and deterministic preparation."""
 
+import dataclasses
+
 import pytest
 
 from repro.scenario import (
@@ -140,8 +142,12 @@ class TestDeterminism:
         assert run_scenario(sc) == first
 
     def test_checked_and_fast_agree(self):
-        checked = run_scenario(scenario_for("pipelined", drain=True))
-        fast = run_scenario(scenario_for("pipelined_fast", drain=True))
+        tape = {"kind": "renewal_tape", "load": 0.6}
+        checked = run_scenario(scenario_for("pipelined", drain=True,
+                                            traffic=tape))
+        fast = run_scenario(scenario_for("pipelined_fast", drain=True,
+                                         traffic=tape))
+        assert fast["run"] == {"kernel": "batch"}
         assert checked["stats"] == fast["stats"]
 
     def test_priority_string_reaches_arbiter(self):
@@ -153,8 +159,9 @@ class TestDeterminism:
 
 
 class TestKernelReport:
-    """``pipelined_fast`` runs the batch kernel whenever it models the cell,
-    and every word result says which kernel ran."""
+    """``pipelined_fast`` runs the batch kernel whenever it models the cell
+    and the checked kernel otherwise, and every word result says which
+    kernel ran."""
 
     @staticmethod
     def credited(kind):
@@ -167,14 +174,21 @@ class TestKernelReport:
         result = run_scenario(self.credited("renewal_tape"))
         assert result["run"] == {"kernel": "batch"}
 
-    def test_per_cycle_traffic_runs_fast(self):
-        result = run_scenario(self.credited("renewal"))
-        assert result["run"] == {"kernel": "fast"}
+    @pytest.mark.parametrize("credit_flow", [False, True])
+    def test_per_cycle_traffic_runs_checked(self, credit_flow):
+        sc = scenario_for("pipelined_fast", horizon=600,
+                          params={"n": 4, "addresses": 32,
+                                  "credit_flow": credit_flow},
+                          traffic={"kind": "renewal", "load": 0.8})
+        result = run_scenario(sc)
+        assert result["run"] == {"kernel": "checked"}
+        oracle = run_scenario(dataclasses.replace(sc, arch="pipelined"))
+        assert result["stats"] == oracle["stats"]
 
-    def test_sanitized_cell_runs_fast(self):
+    def test_sanitized_cell_runs_checked(self):
         sc = self.credited("renewal_tape")
         result = run_scenario(sc, sanitize=True)
-        assert result["run"] == {"kernel": "fast"}
+        assert result["run"] == {"kernel": "checked"}
         assert result["stats"] == run_scenario(sc)["stats"]
 
     @pytest.mark.parametrize("arch,kernel", [

@@ -3,7 +3,7 @@
 A scenario file must be a *complete* description of a run: serializing a
 scenario to JSON or TOML, loading it back, and re-running it has to
 reproduce the original statistics bit for bit — and the telemetry event
-stream too — on both the checked and the fast kernel.  Drift here means
+stream too — on both the checked and the batch kernel.  Drift here means
 the spec is lossy and saved experiment files silently lie.
 """
 
@@ -24,7 +24,7 @@ SETTINGS = settings(
 @st.composite
 def scenarios(draw) -> Scenario:
     arch = draw(st.sampled_from(["pipelined", "pipelined_fast"]))
-    # the fast kernel models only the paper's reads-first arbitration;
+    # the batch kernel models only the paper's reads-first arbitration;
     # the ablation policies exist on the checked kernel alone
     priority = "reads_first" if arch == "pipelined_fast" else draw(
         st.sampled_from(["reads_first", "writes_first", "oldest_first"]))
@@ -40,7 +40,7 @@ def scenarios(draw) -> Scenario:
             "priority": priority,
         },
         traffic={
-            "kind": "renewal",
+            "kind": "renewal_tape",
             "load": draw(st.sampled_from([0.4, 0.8, 1.0])),
         },
         seeds=tuple(draw(st.lists(st.integers(min_value=0, max_value=50),

@@ -39,7 +39,7 @@ def test_parallel_sweep_bit_identical_to_sequential():
 def test_word_kernels_parallel_identical():
     base = Scenario(
         name="kernels", arch="pipelined", horizon=800, params={"n": 4},
-        traffic={"kind": "renewal", "load": 0.7}, seeds=[1], drain=True,
+        traffic={"kind": "renewal_tape", "load": 0.7}, seeds=[1], drain=True,
     )
     scenarios = base.expand({"arch": ["pipelined", "pipelined_fast", "wide"]})
     sequential = ScenarioRunner(jobs=1).run(scenarios)

@@ -91,7 +91,7 @@ def test_sizing_command(capsys):
     assert "input smoothing" in out
 
 
-@pytest.mark.parametrize("kernel", ["checked", "fast"])
+@pytest.mark.parametrize("kernel", ["checked", "batch"])
 def test_trace_command_writes_valid_chrome_trace(kernel, tmp_path, capsys):
     from repro.telemetry.export import validate_chrome_trace
 
@@ -109,17 +109,38 @@ def test_trace_command_writes_valid_chrome_trace(kernel, tmp_path, capsys):
     assert "perfetto" in capsys.readouterr().out
 
 
-def test_trace_checked_and_fast_agree(tmp_path):
+def test_trace_checked_and_batch_agree(tmp_path):
     import json
 
     outs = []
-    for kernel in ("checked", "fast"):
+    for kernel in ("checked", "batch"):
         out = tmp_path / f"{kernel}.json"
         rc = main(["trace", kernel, "--cycles", "150", "-n", "2",
                    "--addresses", "16", "--out", str(out)])
         assert rc == 0
         outs.append(json.loads(out.read_text()))
     assert outs[0] == outs[1]
+
+
+def test_trace_rejects_removed_fast_kernel(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["trace", "fast", "--cycles", "50"])
+    assert info.value.code == 2
+    assert "invalid choice: 'fast'" in capsys.readouterr().err
+
+
+def test_pipelined_fast_flag_prints_identical_table(capsys):
+    """``pipelined --fast`` runs the batch kernel on the same tape traffic
+    and prints the checked kernel's table, digit for digit."""
+    argv = ["pipelined", "-n", "4", "--load", "0.8", "--cycles", "3000",
+            "--addresses", "32", "--quanta", "2"]
+    outs = []
+    for extra in ([], ["--fast"], ["--credits"], ["--credits", "--fast"]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[2] == outs[3]
+    assert outs[0] != outs[2]
 
 
 def test_pipelined_telemetry_outputs(tmp_path, capsys):
@@ -157,12 +178,18 @@ def test_bench_json_artifact(tmp_path):
     assert len(artifact["results"]) == 1
     row = artifact["results"][0]
     # same row schema as benchmarks/BENCH_fastpath.json
-    for key in ("experiment", "cycles", "checked_seconds", "fast_seconds",
-                "checked_cycles_per_sec", "fast_cycles_per_sec", "speedup",
-                "delivered", "dropped", "identical"):
-        assert key in row
-    assert row["identical"] is True
-    assert row["speedup"] > 0
+    assert set(row) == {"experiment", "traffic", "cycles", "checked_seconds",
+                        "checked_cycles_per_sec", "delivered", "dropped",
+                        "batch"}
+    assert set(row["batch"]) == {"traffic", "cycles", "batch_window",
+                                 "batch_seconds", "batch_cycles_per_sec",
+                                 "batch_speedup", "delivered", "dropped",
+                                 "identical"}
+    assert row["traffic"] == row["batch"]["traffic"] == "renewal_tape"
+    assert row["batch"]["identical"] is True
+    assert (row["batch"]["delivered"], row["batch"]["dropped"]) == (
+        row["delivered"], row["dropped"])
+    assert row["batch"]["batch_speedup"] > 0
 
 
 def test_pipelined_invalid_config_clean_error(capsys):
@@ -245,7 +272,7 @@ def test_run_bad_policy_clean_error(tmp_path, capsys):
 
 
 def test_bench_policy_flag(capsys):
-    rc = main(["bench", "--cycles", "400", "--kernel", "all",
+    rc = main(["bench", "--cycles", "400", "--kernel", "both",
                "--policy", "dynamic:alpha=1.0"])
     assert rc == 0
     out = capsys.readouterr().out
