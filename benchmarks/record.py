@@ -104,13 +104,13 @@ def _telemetry_pass(scenario: Scenario, cycles: int,
         tel = tels[kernel]
         assert ref.events.sorted_events() == tel.events.sorted_events(), \
             f"checked/{kernel} event streams diverge"
-        assert ref.events.drop_taxonomy() == tel.events.drop_taxonomy()
+        assert ref.drop_taxonomy() == tel.drop_taxonomy()
         assert ref.samples == tel.samples, \
             f"checked/{kernel} occupancy samples diverge"
         assert ref.metrics.as_dict() == tel.metrics.as_dict()
     return {
         "events": len(ref.events),
-        "drop_taxonomy": ref.events.drop_taxonomy(),
+        "drop_taxonomy": ref.drop_taxonomy(),
         "occupancy": ref.occupancy_series(),
         "equivalent": True,
         "kernels": list(kernels),

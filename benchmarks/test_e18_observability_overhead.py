@@ -46,6 +46,7 @@ from repro.obs.series import SeriesRing
 from repro.sim.packet import reset_packet_ids
 from repro.switches.harness import format_table
 from repro.telemetry import (
+    MetricsRegistry,
     NullEventLog,
     NullMetricsRegistry,
     Telemetry,
@@ -90,9 +91,8 @@ def _throughput(kernel: str, telemetry=None) -> float:
 
 
 def _obs_on() -> Telemetry:
-    return Telemetry.on(sample_interval=64,
-                        events=SampledEventLog(0.05, seed=1),
-                        series=SeriesRing(capacity=1024))
+    return Telemetry(MetricsRegistry(), SampledEventLog(0.05, seed=1), 64,
+                     series=SeriesRing(capacity=1024))
 
 
 def _obs_off() -> Telemetry:

@@ -68,9 +68,14 @@ from repro.fileio import write_atomic
 from repro.sim.packet import Packet, Word, packet_id_state, set_packet_id_state
 from repro.sim.stats import Counter, Histogram, SwitchStats
 from repro.telemetry import (
+    NULL_EVENTS,
+    NULL_METRICS,
     CounterMetric,
+    EventLog,
     GaugeMetric,
     HistogramMetric,
+    MetricsRegistry,
+    NullEventLog,
     Telemetry,
 )
 
@@ -356,14 +361,9 @@ def _source_from(doc: dict) -> PacketSource:
 # ---------------------------------------------------------------------------
 
 def _telemetry_doc(tel: Telemetry | None) -> dict | None:
+    """The bundle's channels; a null metrics or event channel is ``null``."""
     if tel is None or not tel.enabled:
         return None
-    if not (tel.metrics.enabled and tel.events.enabled):
-        raise CheckpointUnsupportedError(
-            "telemetry bundles mixing live and null channels cannot be "
-            "snapshotted; use Telemetry.on() (all channels live) or "
-            "Telemetry.off()"
-        )
     metrics: list = []
     for m in tel.metrics:  # registry iteration is (name, labels)-sorted
         labels = [[k, v] for k, v in m.labels]
@@ -390,8 +390,8 @@ def _telemetry_doc(tel: Telemetry | None) -> dict | None:
         "sample_interval": tel.sample_interval,
         "samples": [[c, occ] for c, occ in tel.samples],
         "events": [[e.cycle, e.kind, e.uid, e.src, e.dst, e.cause, e.aux]
-                   for e in tel.events.events],
-        "metrics": metrics,
+                   for e in tel.events.events] if tel.events.enabled else None,
+        "metrics": metrics if tel.metrics.enabled else None,
     }
     from repro.obs.sampling import SampledEventLog
     if isinstance(tel.events, SampledEventLog):
@@ -411,23 +411,24 @@ def _telemetry_from(doc: dict | None) -> Telemetry | None:
         return None
     from repro.obs.sampling import SampledEventLog
     from repro.obs.series import SeriesRing
-    events = None
+    events: EventLog | NullEventLog = NULL_EVENTS
     sampling = doc.get("events_sampling")
     if sampling is not None:
         events = SampledEventLog(_df(sampling["rate"]), int(sampling["seed"]))
+    elif doc["events"] is not None:
+        events = EventLog()
     series = None
     series_doc = doc.get("series")
     if series_doc is not None:
         series = SeriesRing.from_state(
             {**series_doc, "walls": [_df(w) for w in series_doc["walls"]]}
         )
-    tel = Telemetry.on(doc["sample_interval"], events=events, series=series)
+    registry = NULL_METRICS if doc["metrics"] is None else MetricsRegistry()
+    tel = Telemetry(registry, events, doc["sample_interval"], series=series)
     tel.samples = [(int(c), int(occ)) for c, occ in doc["samples"]]
-    emit = tel.events.emit
-    for cycle, kind, uid, src, dst, cause, aux in doc["events"]:
-        emit(cycle, kind, uid, src=src, dst=dst, cause=cause, aux=aux)
-    registry = tel.metrics
-    for name, labels, mtype, state in doc["metrics"]:
+    for cycle, kind, uid, src, dst, cause, aux in doc["events"] or ():
+        events.emit(cycle, kind, uid, src=src, dst=dst, cause=cause, aux=aux)
+    for name, labels, mtype, state in doc["metrics"] or ():
         lab = {k: v for k, v in labels}
         if mtype == "counter":
             registry.counter(name, **lab).value = int(state)
@@ -946,15 +947,16 @@ def fingerprint_doc(switch: Any) -> dict:
     Covers everything the bit-identical-resume contract promises:
     statistics, Welford accumulators, latency histograms (order-normalized
     — dict insertion order is presentation, not state), wave counters, the
-    drop taxonomy and full event stream (cycle-sorted, the canonical
-    comparable form), metric values, occupancy samples and the sanitizer
-    summary.
+    drop taxonomy, the event stream when one is recorded (cycle-sorted,
+    the canonical comparable form), metric values, occupancy samples and
+    the sanitizer summary.
     """
     tel = switch.telemetry if switch._tel else None
     tel_doc = None
     if tel is not None:
         tel_doc = _telemetry_doc(tel)
-        tel_doc["events"] = sorted(tel_doc["events"])
+        if tel_doc["events"] is not None:
+            tel_doc["events"] = sorted(tel_doc["events"])
         series_doc = tel_doc.get("series")
         if series_doc is not None:
             # Wall stamps are observation time, not simulation state.

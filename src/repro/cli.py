@@ -58,13 +58,17 @@ def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
                         "(0 = no sampling)")
 
 
-def _telemetry_from_args(args):
-    """A collecting bundle iff any telemetry output was requested."""
-    from repro.telemetry import Telemetry
+def _telemetry_from_args(args, events: bool = False):
+    """The bundle the telemetry flags ask for, or None if they ask for
+    nothing; ``events=True`` records the event log even without
+    ``--events``."""
+    from repro.scenario import TelemetrySpec
+    from repro.scenario.registry import telemetry_from_spec
 
-    if args.metrics or args.events or args.sample_interval:
-        return Telemetry.on(sample_interval=args.sample_interval)
-    return None
+    spec = TelemetrySpec(metrics=bool(args.metrics),
+                         events=events or bool(args.events),
+                         sample_interval=args.sample_interval)
+    return telemetry_from_spec(spec) if spec.enabled else None
 
 
 def _export_telemetry(tel, args) -> None:
@@ -410,16 +414,13 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
 
 def cmd_trace(args) -> int:
     from repro.scenario import prepare
-    from repro.telemetry import Telemetry
     from repro.telemetry.export import (
         chrome_trace_from_events,
         validate_chrome_trace,
         write_chrome_trace,
     )
 
-    tel = _telemetry_from_args(args) or Telemetry.on(
-        sample_interval=args.sample_interval
-    )
+    tel = _telemetry_from_args(args, events=True)
     arch = "pipelined_batch" if args.kernel == "batch" else "pipelined"
     scenario = _pipelined_scenario(args, arch=arch, warmup=0)
     prep = prepare(scenario, telemetry=tel)

@@ -133,12 +133,7 @@ class SwitchTelemetryMixin:
         # created counters so the series sampler reads it in O(causes).
         # Rebuilt from the registry on re-attach (checkpoint restore), where
         # the counters already carry the pre-snapshot counts.
-        tax: dict[str, int] = {}
-        for metric in m:
-            if metric.name == "repro_port_drops_total":
-                cause = dict(metric.labels).get("cause", "")
-                tax[cause] = tax.get(cause, 0) + metric.value
-        self._drop_tax = tax
+        self._drop_tax = self.telemetry.drop_taxonomy()
 
     def _queue_depths(self) -> list[int]:
         """Stored-awaiting-read packet count per output port at the

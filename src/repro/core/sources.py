@@ -130,9 +130,9 @@ class BatchRenewalSource(PacketSource):
     can be drawn as one numpy block, and — because a numpy ``Generator``
     produces bit-identical values whether drawn one at a time or as an
     array — the block-drawn tape equals the scalar per-cycle poll sequence
-    exactly.  The batch kernel consumes the tape; the checked and fast
-    kernels call :meth:`maybe_start` per cycle; on the same seed all three
-    see the identical arrival process.
+    exactly.  The batch kernel consumes the tape; the checked kernel
+    calls :meth:`maybe_start` per cycle; on the same seed both see the
+    identical arrival process.
 
     Note the streams *differ* from ``RenewalPacketSource`` at equal seed
     (that source interleaves every link through one shared generator, which
@@ -171,7 +171,7 @@ class BatchRenewalSource(PacketSource):
         ]
         self._next_draw = [0] * n_out  # cycle of each link's first undrawn poll
 
-    # -- scalar protocol (checked / fast kernels) ---------------------------
+    # -- scalar protocol (checked kernel) ------------------------------------
     def maybe_start(self, cycle: int, link: int) -> int | None:
         if self._u_rng[link].random() < self.start_prob:
             return int(self._d_rng[link].integers(0, self.n_out))

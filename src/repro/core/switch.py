@@ -712,7 +712,7 @@ class PipelinedSwitch(SwitchTelemetryMixin):
         chain still in flight for ``j`` (``next_wave_ok[j] > t``), and
         ``free`` is derived from it rather than from ``free_count``: the
         :class:`BufferManager` releases a departing packet's addresses one
-        phase earlier on the chain's final cycle than the fast kernel's
+        phase earlier on the chain's final cycle than the batch kernel's
         due-queue does, and the policy must see the same numbers in every
         kernel (see :mod:`repro.policy.admission`).
         """

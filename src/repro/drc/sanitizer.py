@@ -19,15 +19,14 @@ discipline*:
 The checked :class:`~repro.core.switch.PipelinedSwitch` enforces most of
 these through its component models (the bank port guard, the control
 pipeline's one-initiation rule); the sanitizer is an *independent*
-observer layered on top, so a bug in the component models themselves — or
-in the wave-level fast kernel, which has no component models at all — is
-still caught.  ``tests/core/test_failure_injection.py`` seeds each fault
+observer layered on top, so a bug in the component models themselves is
+still caught.  (The batch kernel has no component models and refuses an
+enabled sanitizer.)  ``tests/core/test_failure_injection.py`` seeds each fault
 deliberately and asserts the matching :class:`SanitizerError`.
 
 Null-object pattern: kernels hold :data:`NULL_SANITIZER` by default and
 gate every hook on one cached boolean (``self._san``), so a disabled
-sanitizer costs nothing on the hot path — the E16 telemetry-overhead
-guard covers this path too.
+sanitizer costs nothing on the hot path.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Live observability plane on top of :mod:`repro.telemetry`.
 
 Four pieces, all null-object free when off (the kernels' single cached
-``_tel`` boolean still gates every collection site, so E16/E18 hold):
+``_tel`` boolean still gates every collection site, so the E18
+observability-off guard holds):
 
 * :mod:`repro.obs.sampling` — deterministic packet selection by a
   seed-stable hash of the packet uid, and a :class:`SampledEventLog`
-  that filters the lifecycle event stream at emit time.  Because all
-  three kernels emit identical event streams, the filtered streams are
-  identical by construction.
+  that filters the lifecycle event stream at emit time.  Because the
+  checked and batch kernels emit identical event streams, the filtered
+  streams are identical by construction.
 * :mod:`repro.obs.spans` — pipeline-stage spans (latch, waves,
   residency, link, drop) assembled in closed form from lifecycle
   events, exported as JSONL or through the Chrome/Perfetto path.

@@ -4,7 +4,7 @@ A packet is sampled iff ``packet_hash(seed, uid) < threshold`` where the
 threshold is ``rate`` scaled to the full 64-bit hash range.  The hash is a
 pure function of ``(seed, uid)``, so:
 
-* every kernel tier (checked, fast, batch) selects the *same* packets for
+* both kernel tiers (checked, batch) select the *same* packets for
   the same scenario — the sampled event streams are bit-identical because
   the full streams already are;
 * the selection is stable across processes, ``--jobs`` values, checkpoints
@@ -53,12 +53,13 @@ class SampledEventLog(EventLog):
 
     Drops non-sampled events at emit time, so memory scales with the
     sampled fraction, not the run length.  Everything downstream of
-    ``EventLog`` (sorting, taxonomy, span assembly, exporters) works
+    ``EventLog`` (sorting, counts, span assembly, exporters) works
     unchanged on the filtered stream.
 
-    Note the aggregations (``drop_taxonomy`` etc.) then describe the
-    *sampled* population only; whole-run aggregates come from the metrics
-    registry, which is never sampled.
+    Note the log's own aggregations (``counts_by_kind``, ``len``) then
+    describe the *sampled* population only.  Whole-run aggregates, such as
+    the result's drop taxonomy (:meth:`repro.telemetry.Telemetry.drop_taxonomy`),
+    come from the metrics registry, which is never sampled.
     """
 
     def __init__(self, rate: float, seed: int = 0) -> None:

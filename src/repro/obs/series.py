@@ -3,7 +3,7 @@
 A :class:`SeriesRing` rides inside the :class:`~repro.telemetry.Telemetry`
 bundle (its ``series`` field) and is fed by the kernels at the telemetry
 sample instant — the start of a cycle, before any of the cycle's activity,
-where all three kernel tiers' bookkeeping provably coincides.  Each row is
+where the checked and batch kernels' bookkeeping provably coincides.  Each row is
 
     ``(cycle, occupancy, free, queue_depths, drop_taxonomy_items)``
 

@@ -79,7 +79,7 @@ def spans_from_events(
     """Assemble per-packet stage spans from a (possibly sampled) stream.
 
     Deterministic: output is sorted by ``(uid, start, stage)``.  Feeding
-    the sorted event streams of the checked, fast and batch kernels yields
+    the sorted event streams of the checked and batch kernels yields
     identical span lists because the streams themselves are identical.
     """
     wave_len = quanta * depth

@@ -15,14 +15,14 @@ refusal drops the packet immediately with the ``DROP_POLICY`` cause — it
 never becomes a pending write, so it competes for nothing.  The packet
 still occupies its input link for the full ``W`` cycles (the wire does not
 know about the policy), which keeps source cadence and drain timing
-bit-identical across the checked, fast and batch kernels.
+bit-identical across the checked and batch kernels.
 
 The policy sees one **canonical view** of buffer state, identical in every
 kernel at the arrival instant:
 
 * ``free`` — free buffer addresses, counting an address as held from its
   packet's write-wave admission until the cycle *after* its read chain
-  completes (the fast kernel's natural accounting; the checked kernel's
+  completes (the batch kernel's natural accounting; the checked kernel's
   :class:`~repro.core.buffer_manager.BufferManager` releases one phase
   earlier on the final cycle, so it derives this view from its queues and
   per-output wave horizons rather than from ``free_count``).

@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping
 from repro.drc.sanitizer import Sanitizer
 from repro.scenario.spec import Scenario, ScenarioError, TrafficSpec, _suggest
 from repro.sim.packet import reset_packet_ids
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_EVENTS, EventLog, MetricsRegistry, NullEventLog, Telemetry
 
 SLOTTED, WORD, FABRIC, NETWORK = "slotted", "word", "fabric", "network"
 
@@ -542,14 +542,14 @@ class Prepared:
             result["run"] = {"kernel": kernel_name(self.switch)}
         if self.sanitizer is not None:
             result["sanitizer"] = self.sanitizer.summary()
-        if self.telemetry is not None and self.telemetry.enabled:
-            result["telemetry"] = {
-                "events": len(self.telemetry.events),
-                "drop_taxonomy": self.telemetry.events.drop_taxonomy(),
-                "occupancy": self.telemetry.occupancy_series(),
-            }
-            if self.telemetry.series is not None:
-                result["telemetry"]["series"] = self.telemetry.series.summary()
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            summary = {"events": len(tel.events)} if tel.events.enabled else {}
+            summary["drop_taxonomy"] = tel.drop_taxonomy()
+            summary["occupancy"] = tel.occupancy_series()
+            if tel.series is not None:
+                summary["series"] = tel.series.summary()
+            result["telemetry"] = summary
         return _jsonable(result)
 
 
@@ -566,14 +566,16 @@ def kernel_name(switch: Any) -> str:
 def telemetry_from_spec(spec) -> Telemetry:
     """Build the telemetry bundle a :class:`TelemetrySpec` asks for.
 
-    The observability-plane channels are constructed here — a
-    :class:`~repro.obs.sampling.SampledEventLog` when ``trace_sample`` is
-    set (deterministic, seed-stable packet selection) and a
-    :class:`~repro.obs.series.SeriesRing` when ``series`` is set — so
-    every entry point (CLI, runner workers, checkpoint cold starts) gets
-    an identically-shaped bundle from the same spec.
+    The metrics registry is live whenever telemetry is on (the result's
+    drop taxonomy is read from it).  An event log exists only when asked
+    for: an :class:`~repro.telemetry.EventLog` for ``events``, or a
+    :class:`~repro.obs.sampling.SampledEventLog` for ``trace_sample``
+    (deterministic, seed-stable packet selection).  A
+    :class:`~repro.obs.series.SeriesRing` is attached when ``series`` is
+    set.  Every entry point (CLI, runner workers, checkpoint cold starts)
+    builds its bundle here, so one spec always yields one bundle shape.
     """
-    events = None
+    events: EventLog | NullEventLog = EventLog() if spec.events else NULL_EVENTS
     series = None
     if spec.trace_sample:
         from repro.obs.sampling import SampledEventLog
@@ -583,8 +585,8 @@ def telemetry_from_spec(spec) -> Telemetry:
         from repro.obs.series import SeriesRing
 
         series = SeriesRing(spec.series)
-    return Telemetry.on(sample_interval=spec.sample_interval, events=events,
-                        series=series)
+    return Telemetry(MetricsRegistry(), events, spec.sample_interval,
+                     series=series)
 
 
 def prepare(

@@ -9,13 +9,17 @@ kernel can feed:
   lifecycle events with cycle stamps;
 * a periodic occupancy time series (``samples``) taken every
   ``sample_interval`` cycles at the *start* of a cycle, before any of the
-  cycle's activity — the one instant where the checked and fast kernels'
+  cycle's activity — the one instant where the checked and batch kernels'
   internal bookkeeping provably coincide.
 
-``Telemetry.off()`` (the default wired into every kernel) is a shared
-null bundle: collection sites are guarded by one cached boolean, so a
-disabled bundle costs nothing on the hot path.  Exporters live in
-:mod:`repro.telemetry.export`.
+Each channel is either live or its shared null object.  A scenario builds
+the event log only when it asks for events
+(:func:`repro.scenario.registry.telemetry_from_spec`), and whole-run
+aggregates such as :meth:`Telemetry.drop_taxonomy` read the metrics
+registry, never the event log.  ``Telemetry.off()`` (the default wired
+into every kernel) is the all-null bundle: collection sites are guarded by
+one cached boolean, so a disabled bundle costs nothing on the hot path.
+Exporters live in :mod:`repro.telemetry.export`.
 """
 
 from __future__ import annotations
@@ -72,15 +76,9 @@ class Telemetry:
                     or self.sample_interval > 0 or self.series is not None)
 
     @classmethod
-    def on(cls, sample_interval: int = 0, *, events: EventLog | None = None,
-           series: Any = None) -> "Telemetry":
-        """Fresh bundle with every channel collecting.
-
-        ``events`` lets callers inject a subclass (the observability
-        plane's sampled log); ``series`` attaches a live time-series ring.
-        """
-        return cls(MetricsRegistry(), events if events is not None else EventLog(),
-                   sample_interval, series=series)
+    def on(cls, sample_interval: int = 0) -> "Telemetry":
+        """Fresh bundle with the metrics registry and a full event log."""
+        return cls(MetricsRegistry(), EventLog(), sample_interval)
 
     @classmethod
     def off(cls) -> "Telemetry":
@@ -89,6 +87,20 @@ class Telemetry:
 
     def sample(self, cycle: int, occupancy: int) -> None:
         self.samples.append((cycle, occupancy))
+
+    def drop_taxonomy(self) -> dict[str, int]:
+        """Drop cause -> count, summed over ports from the
+        ``repro_port_drops_total`` counters (causes with no drop omitted).
+
+        Every drop site bumps that counter, so this is the whole run's
+        taxonomy whatever the event channel keeps.
+        """
+        tax: dict[str, int] = {}
+        for metric in self.metrics:
+            if metric.name == "repro_port_drops_total" and metric.value:
+                cause = dict(metric.labels)["cause"]
+                tax[cause] = tax.get(cause, 0) + metric.value
+        return tax
 
     def occupancy_series(self) -> dict[str, float]:
         """Summary of the sampled occupancy time series."""

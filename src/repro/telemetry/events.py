@@ -121,33 +121,11 @@ class EventLog:
         form; see the module docstring on intra-cycle ordering."""
         return sorted(self.events, key=lambda e: (e.cycle, e.kind, e.uid))
 
-    # -- aggregations -------------------------------------------------------
     def counts_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for e in self.events:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
-
-    def per_port_counts(self) -> dict[tuple[str, int], int]:
-        """(kind, port) -> count, port being each kind's port of record."""
-        out: dict[tuple[str, int], int] = {}
-        for e in self.events:
-            key = (e.kind, e.port)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def drop_taxonomy(self) -> dict[str, int]:
-        """Drop cause -> count."""
-        out: dict[str, int] = {}
-        for e in self.events:
-            if e.kind == DROP:
-                out[e.cause] = out.get(e.cause, 0) + 1
-        return out
-
-    def lifecycle(self, uid: int) -> list[Event]:
-        """All events of one packet, in cycle order."""
-        return sorted((e for e in self.events if e.uid == uid),
-                      key=lambda e: (e.cycle, e.kind))
 
 
 class NullEventLog:
@@ -171,15 +149,6 @@ class NullEventLog:
 
     def counts_by_kind(self) -> dict[str, int]:
         return {}
-
-    def per_port_counts(self) -> dict[tuple[str, int], int]:
-        return {}
-
-    def drop_taxonomy(self) -> dict[str, int]:
-        return {}
-
-    def lifecycle(self, uid: int) -> list[Event]:
-        return []
 
 
 NULL_EVENTS = NullEventLog()

@@ -132,7 +132,7 @@ def chrome_trace_from_events(
     only the admission events.  ``horizon`` clips slices the simulation
     never reached (waves still in flight when the run stopped).
 
-    Works identically for the checked and the fast kernel: neither needs to
+    Works identically for the checked and the batch kernel: neither needs to
     have simulated words for the view to be exact.
     """
     events = list(events)

@@ -20,15 +20,15 @@ from repro.core import (
 from repro.obs.sampling import SampledEventLog
 from repro.obs.series import SeriesRing
 from repro.sim.packet import reset_packet_ids
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
 
 
 def _build(kernel, *, rate=0.3, seed=5, capacity=32):
     reset_packet_ids()
     cfg = PipelinedSwitchConfig(n=4, addresses=32)
     src = BatchRenewalSource(4, cfg.packet_words, load=0.8, seed=seed)
-    tel = Telemetry.on(16, events=SampledEventLog(rate, seed=seed),
-                       series=SeriesRing(capacity=capacity))
+    tel = Telemetry(MetricsRegistry(), SampledEventLog(rate, seed=seed), 16,
+                    series=SeriesRing(capacity=capacity))
     if kernel == "checked":
         return PipelinedSwitch(cfg, src, telemetry=tel)
     return make_pipelined_switch(cfg, src, telemetry=tel, kernel="batch",

@@ -49,7 +49,7 @@ from repro.core import (
 from repro.drc.sanitizer import Sanitizer
 from repro.obs.series import SeriesRing
 from repro.sim.packet import reset_packet_ids, set_packet_id_state
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_EVENTS, EventLog, MetricsRegistry, Telemetry
 
 KERNELS = ("checked", "batch")
 
@@ -60,7 +60,9 @@ TRACE_SCHEDULE = {0: [(0, 1), (10, 2)], 1: [(5, 3)], 2: [], 3: [(40, 0)]}
 def _build(kernel, *, n=4, addresses=32, load=0.7, seed=42, telemetry=False,
            sanitize=False, batch_cycles=64, traffic="renewal", **config):
     """One (kernel, config, source) simulation, deterministically; extra
-    keywords are :class:`PipelinedSwitchConfig` fields."""
+    keywords are :class:`PipelinedSwitchConfig` fields.  ``telemetry`` is
+    off (False), every channel with a series ring (True), or the same
+    without an event log ("no-events")."""
     reset_packet_ids()
     cfg = PipelinedSwitchConfig(n=n, addresses=addresses, **config)
     if traffic == "saturating":
@@ -72,7 +74,10 @@ def _build(kernel, *, n=4, addresses=32, load=0.7, seed=42, telemetry=False,
         src = BatchRenewalSource(n, cfg.packet_words, load=load, seed=seed)
     else:
         src = RenewalPacketSource(n, cfg.packet_words, load=load, seed=seed)
-    tel = Telemetry.on(16, series=SeriesRing(64)) if telemetry else None
+    tel = None
+    if telemetry:
+        events = NULL_EVENTS if telemetry == "no-events" else EventLog()
+        tel = Telemetry(MetricsRegistry(), events, 16, series=SeriesRing(64))
     san = Sanitizer(telemetry=tel) if sanitize else None
     if kernel == "checked":
         return PipelinedSwitch(cfg, src, telemetry=tel, sanitizer=san)
@@ -213,21 +218,23 @@ ORACLE_SHAPES = {
     "downstream": {"downstream_credits": 2, "downstream_rtt": 3, "load": 0.9},
     "dynamic": {"policy": "dynamic:alpha=1.0", "load": 0.95, "sanitize": True},
 }
+#: ``_build`` telemetry modes: off, every channel, no event log.
+TELEMETRY_MODES = (False, True, "no-events")
 #: k=370 lands with a batch §3.5 quantum check (``qchecks``) in flight.
 ORACLE_K, ORACLE_N = 370, 800
 
 
 def test_round_trip_oracle():
-    """Every kernel x telemetry (off, on with a series ring) x shape round
-    trips with equal state and equal continuations.  The batch kernel
-    refuses traces and sanitizers: it skips the trace shape and runs the
-    sanitized one without a sanitizer."""
+    """Every kernel x telemetry (off, on with a series ring, the same
+    without an event log) x shape round trips with equal state and equal
+    continuations.  The batch kernel refuses traces and sanitizers: it
+    skips the trace shape and runs the sanitized one without a sanitizer."""
     reached: dict = {}
     for shape, params in ORACLE_SHAPES.items():
         for kernel in KERNELS:
             if kernel == "batch" and params.get("traffic") == "trace":
                 continue
-            for telemetry in (False, True):
+            for telemetry in TELEMETRY_MODES:
                 def build():
                     return _build(kernel, telemetry=telemetry, **params)
 
@@ -268,7 +275,7 @@ def test_kernel_subclass_is_refused(kernel):
     load=st.sampled_from([0.5, 0.9]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     k=st.integers(min_value=1, max_value=499),
-    telemetry=st.booleans(),
+    telemetry=st.sampled_from(TELEMETRY_MODES),
     batch_cycles=st.sampled_from([1, 64, 333]),
 )
 def test_resume_is_bit_identical(kernel, n, addresses, quanta, load, seed, k,

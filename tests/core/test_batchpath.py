@@ -203,7 +203,7 @@ class TestTelemetryEquivalence:
         tel = run("batch")
         assert ref.events.sorted_events() == tel.events.sorted_events(), \
             "checked/batch event streams diverge"
-        assert ref.events.drop_taxonomy() == tel.events.drop_taxonomy()
+        assert ref.drop_taxonomy() == tel.drop_taxonomy()
         assert ref.samples == tel.samples
         assert ref.metrics.as_dict() == tel.metrics.as_dict()
 

@@ -125,11 +125,11 @@ class TestPolicyTelemetry:
             _run(kernel, kwargs, 1.0, 3, telemetry=tel)
             tels.append(tel)
         ref = tels[0]
-        taxonomy = ref.events.drop_taxonomy()
+        taxonomy = ref.drop_taxonomy()
         assert taxonomy.get(DROP_POLICY, 0) > 0
         tel = tels[1]
         assert tel.events.sorted_events() == ref.events.sorted_events()
-        assert tel.events.drop_taxonomy() == taxonomy
+        assert tel.drop_taxonomy() == taxonomy
         assert tel.metrics.as_dict() == ref.metrics.as_dict()
 
     def test_peak_occupancy_gauge_exported(self):

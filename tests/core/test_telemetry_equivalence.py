@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.tracing import WaveTracer
 from repro.sim.packet import reset_packet_ids
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_EVENTS, MetricsRegistry, Telemetry
 from repro.telemetry.export import (
     chrome_trace_from_events,
     chrome_trace_from_tracer,
@@ -50,7 +50,7 @@ MATRIX = [
 
 
 def _run(batch: bool, cfg_kwargs: dict, source: str, load: float, seed: int,
-         drain: bool, cycles: int = 1500):
+         drain: bool, cycles: int = 1500, events: bool = True):
     # Both kernels must number packets identically for the streams to be
     # comparable; the checked model draws uids from the global counter.
     reset_packet_ids()
@@ -62,7 +62,8 @@ def _run(batch: bool, cfg_kwargs: dict, source: str, load: float, seed: int,
         src = BatchRenewalSource(n_out=cfg.n, packet_words=cfg.packet_words,
                                  load=load, width_bits=cfg.width_bits,
                                  seed=seed)
-    tel = Telemetry.on(sample_interval=32)
+    tel = (Telemetry.on(sample_interval=32) if events
+           else Telemetry(MetricsRegistry(), NULL_EVENTS, 32))
     if batch:
         sw = BatchPipelinedSwitch(cfg, src, telemetry=tel, batch_cycles=256)
     else:
@@ -84,17 +85,22 @@ class TestCheckedBatchTelemetry:
     @pytest.mark.parametrize("cfg_kwargs,source,load,seed,drain", MATRIX)
     def test_aggregations_and_metrics_identical(self, cfg_kwargs, source,
                                                 load, seed, drain):
-        _, tel_slow = _run(False, cfg_kwargs, source, load, seed, drain)
-        _, tel_batch = _run(True, cfg_kwargs, source, load, seed, drain)
-        assert tel_slow.events.per_port_counts() == tel_batch.events.per_port_counts()
-        assert tel_slow.events.drop_taxonomy() == tel_batch.events.drop_taxonomy()
-        assert tel_slow.samples == tel_batch.samples
-        assert tel_slow.metrics.as_dict() == tel_batch.metrics.as_dict()
+        """Both kernels, with the event log on and off, collect the same
+        taxonomy, samples and metrics."""
+        views = []
+        for events in (True, False):
+            for batch in (False, True):
+                _, tel = _run(batch, cfg_kwargs, source, load, seed, drain,
+                              events=events)
+                assert tel.events.enabled is events
+                views.append((tel.drop_taxonomy(), tel.samples,
+                              tel.metrics.as_dict()))
+        assert all(view == views[0] for view in views[1:])
 
     def test_droppy_run_actually_drops(self):
         """Guard: the droppy matrix row exercises the drop taxonomy."""
         _, tel = _run(True, dict(n=4, addresses=8), "saturating", 1.0, 3, True)
-        assert sum(tel.events.drop_taxonomy().values()) > 0
+        assert sum(tel.drop_taxonomy().values()) > 0
 
     def test_event_counts_match_stats(self):
         sw, tel = _run(True, dict(n=8, addresses=128), "renewal", 0.6, 1, True)
@@ -145,9 +151,8 @@ class TestSampledObservability:
         src = BatchRenewalSource(n_out=cfg.n, packet_words=cfg.packet_words,
                                  load=load, width_bits=cfg.width_bits,
                                  seed=seed)
-        tel = Telemetry.on(sample_interval=32,
-                           events=SampledEventLog(rate, seed=seed),
-                           series=SeriesRing(capacity=64))
+        tel = Telemetry(MetricsRegistry(), SampledEventLog(rate, seed=seed),
+                        32, series=SeriesRing(capacity=64))
         cls = {"checked": PipelinedSwitch,
                "batch": BatchPipelinedSwitch}[kernel]
         sw = cls(cfg, src, telemetry=tel)

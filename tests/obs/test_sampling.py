@@ -81,3 +81,21 @@ class TestSampledEventLog:
         for e in log.events:
             replay.emit(e.cycle, e.kind, e.uid, e.src, e.dst, e.cause, e.aux)
         assert replay.sorted_events() == log.sorted_events()
+
+
+class TestSampledTaxonomy:
+    def test_result_counts_every_drop_not_only_sampled_ones(self):
+        """Sampling thins the event log, never the result's drop taxonomy:
+        a sampled run reports the same taxonomy as a full-log run."""
+        from repro.scenario import Scenario, run_scenario
+
+        def taxonomy(telemetry):
+            sc = Scenario(name="sampled-drops", arch="pipelined_batch",
+                          params={"n": 8, "addresses": 32},
+                          traffic={"kind": "renewal_tape", "load": 1.0},
+                          horizon=5000, seeds=[1], telemetry=telemetry)
+            return run_scenario(sc)["telemetry"]["drop_taxonomy"]
+
+        full = taxonomy({"events": True})
+        assert sum(full.values()) > 100
+        assert taxonomy({"trace_sample": 0.1}) == full

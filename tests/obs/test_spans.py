@@ -19,7 +19,7 @@ from repro.obs.spans import (
     spans_jsonl,
 )
 from repro.sim.packet import reset_packet_ids
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.events import Event
 
 
@@ -33,7 +33,7 @@ def _run(rate=1.0, seed=1, cycles=600, droppy=False):
         cfg = PipelinedSwitchConfig(n=4, addresses=64)
         src = RenewalPacketSource(n_out=4, packet_words=cfg.packet_words,
                                   load=0.6, seed=seed)
-    tel = Telemetry.on(events=SampledEventLog(rate, seed=7))
+    tel = Telemetry(MetricsRegistry(), SampledEventLog(rate, seed=7))
     sw = PipelinedSwitch(cfg, src, telemetry=tel)
     sw.run(cycles)
     sw.drain()

@@ -220,6 +220,16 @@ class TestTelemetry:
         result = run_scenario(sc)
         assert result["telemetry"]["events"] > 0
         assert "last_cycle" in result["telemetry"]["occupancy"]
+        # Without `events` there is no event log and no event count; the
+        # drop taxonomy comes from the (always live) metrics registry.
+        prep = prepare(dataclasses.replace(
+            sc, telemetry=dataclasses.replace(sc.telemetry, events=False)))
+        assert prep.telemetry.metrics.enabled
+        assert not prep.telemetry.events.enabled
+        result = prep.execute()
+        assert "events" not in result["telemetry"]
+        assert result["telemetry"]["drop_taxonomy"] == prep.telemetry.drop_taxonomy()
+        assert "last_cycle" in result["telemetry"]["occupancy"]
 
     def test_telemetry_artifacts_written(self, tmp_path):
         sc = scenario_for("pipelined",

@@ -45,7 +45,7 @@ class TestSharedBufferPolicy:
         tel = Telemetry.on(sample_interval=64)
         sw = _run("static:cap=3", telemetry=tel)
         assert sw.policy_drops > 0
-        taxonomy = tel.events.drop_taxonomy()
+        taxonomy = tel.drop_taxonomy()
         assert taxonomy.get(DROP_POLICY, 0) == sw.policy_drops
 
     def test_refusal_is_not_a_capacity_drop(self):

@@ -28,13 +28,13 @@ class TestSlottedTelemetry:
 
     def test_late_drops_use_buffer_full_cause(self):
         _, tel = _run(OutputQueued(4, 4, capacity=2))
-        taxonomy = tel.events.drop_taxonomy()
+        taxonomy = tel.drop_taxonomy()
         assert set(taxonomy) == {DROP_BUFFER_FULL}
 
     def test_knockout_distinguishes_concentrator_losses(self):
         sw = KnockoutSwitch(8, 8, l_paths=2, capacity=4)
         _, tel = _run(sw)
-        taxonomy = tel.events.drop_taxonomy()
+        taxonomy = tel.drop_taxonomy()
         assert taxonomy.get(DROP_KNOCKOUT, 0) == sw.knockout_drops > 0
         assert DROP_BUFFER_FULL in taxonomy
 

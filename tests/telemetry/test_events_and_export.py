@@ -47,20 +47,6 @@ class TestEventLog:
             ARRIVE: 2, CUT_THROUGH: 1, STORE_WAVE: 1, DEPART: 1, DROP: 1,
         }
 
-    def test_per_port_counts(self):
-        counts = _demo_log().per_port_counts()
-        assert counts[(ARRIVE, 1)] == 1
-        assert counts[(ARRIVE, 0)] == 1
-        assert counts[(DEPART, 2)] == 1
-        assert counts[(DROP, 3)] == 1
-
-    def test_drop_taxonomy(self):
-        assert _demo_log().drop_taxonomy() == {DROP_HEAD_OVERRUN: 1}
-
-    def test_lifecycle_orders_one_packet(self):
-        life = _demo_log().lifecycle(0)
-        assert [e.kind for e in life] == [ARRIVE, CUT_THROUGH, DEPART]
-
     def test_sorted_events_canonical_order(self):
         log = EventLog()
         log.emit(5, DEPART, 2, dst=0)

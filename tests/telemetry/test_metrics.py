@@ -3,6 +3,7 @@
 import pytest
 
 from repro.telemetry import (
+    NULL_EVENTS,
     NULL_METRICS,
     NULL_TELEMETRY,
     MetricsRegistry,
@@ -102,3 +103,14 @@ class TestNullObjects:
         assert s["mean"] == pytest.approx(3.0)
         assert s["last_cycle"] == 8
         assert Telemetry.on().occupancy_series() == {"samples": 0}
+
+    def test_drop_taxonomy_sums_drop_counters_by_cause(self):
+        tel = Telemetry(MetricsRegistry(), NULL_EVENTS)
+        m = tel.metrics
+        m.counter("repro_port_drops_total", port=0, cause="head_overrun").inc(2)
+        m.counter("repro_port_drops_total", port=3, cause="head_overrun").inc()
+        m.counter("repro_port_drops_total", port=1, cause="policy").inc()
+        m.counter("repro_port_drops_total", port=2, cause="buffer_full")
+        m.counter("repro_port_arrivals_total", port=0).inc(9)
+        assert tel.drop_taxonomy() == {"head_overrun": 3, "policy": 1}
+        assert NULL_TELEMETRY.drop_taxonomy() == {}
