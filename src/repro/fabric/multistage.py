@@ -100,12 +100,6 @@ class OmegaFabric:
         self.delay_hist = Histogram()
         self.delivered_per_output = [0] * self.n
 
-    # -- helpers ----------------------------------------------------------------
-    def _digit(self, dst: int, stage: int) -> int:
-        """Base-k digit of ``dst`` used by ``stage`` (most significant first)."""
-        shift = self.stages - 1 - stage
-        return (dst // (self.k**shift)) % self.k
-
     @property
     def dropped(self) -> int:
         """Cells lost inside elements (finite element buffers)."""
@@ -124,7 +118,6 @@ class OmegaFabric:
         if len(dests) != self.n:
             raise ValueError(f"expected {self.n} arrival entries, got {len(dests)}")
         # External arrivals shuffle into rank 0, on top of last slot's wires.
-        injected: list[FabricCell | None] = [None] * self.n
         for p, dst in enumerate(dests):
             if dst is None:
                 continue
@@ -137,20 +130,20 @@ class OmegaFabric:
             if self._rank_inputs[0][wire] is not None:
                 raise AssertionError("rank-0 wire already carries a cell")
             self._rank_inputs[0][wire] = cell
-        del injected
 
         delivered: list[FabricCell | None] = [None] * self.n
         next_inputs: list[list[FabricCell | None]] = [
             [None] * self.n for _ in range(self.stages)
         ]
+        k = self.k
         for s in range(self.stages):
             rank_in = self._rank_inputs[s]
+            # rank s routes by the s-th most significant base-k digit of dst
+            div = k ** (self.stages - 1 - s)
             for e, element in enumerate(self.elements[s]):
-                base = e * self.k
-                cells = [rank_in[base + i] for i in range(self.k)]
-                local = [
-                    self._digit(c.dst, s) if c is not None else None for c in cells
-                ]
+                base = e * k
+                cells = rank_in[base:base + k]
+                local = [c.dst // div % k if c is not None else None for c in cells]
                 outs = element.step(local, tags=cells)
                 for j, out in enumerate(outs):
                     if out is None:

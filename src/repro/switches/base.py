@@ -140,46 +140,49 @@ class SlottedSwitch(ABC):
         back on departure — multistage fabrics use this to follow a cell
         through a cascade of switch elements.
         """
-        if len(dests) != self.n_in:
-            raise ValueError(f"expected {self.n_in} arrival entries, got {len(dests)}")
-        if tags is not None and len(tags) != self.n_in:
-            raise ValueError(f"expected {self.n_in} tag entries, got {len(tags)}")
+        n_in, n_out = self.n_in, self.n_out
+        if len(dests) != n_in:
+            raise ValueError(f"expected {n_in} arrival entries, got {len(dests)}")
+        if tags is not None and len(tags) != n_in:
+            raise ValueError(f"expected {n_in} tag entries, got {len(tags)}")
+        slot, stats, tel, san = self.slot, self.stats, self._tel, self._san
+        counted = slot >= stats.warmup  # warmup-gated counters of this slot
+        admit = self._admit
         for src, dst in enumerate(dests):
             if dst is None:
                 continue
-            if not 0 <= dst < self.n_out:
-                raise ValueError(f"destination {dst} out of range (n_out={self.n_out})")
-            cell = Cell(
-                src=src, dst=dst, arrival_slot=self.slot,
-                tag=tags[src] if tags is not None else None,
-            )
-            self.stats.record_offer(self.slot)
-            if self._san:
-                self.sanitizer.packet_injected(self.slot, cell.uid)
-            if self._tel:
-                self.telemetry.events.emit(
-                    self.slot, ARRIVE, cell.uid, src=src, dst=dst
-                )
+            if not 0 <= dst < n_out:
+                raise ValueError(f"destination {dst} out of range (n_out={n_out})")
+            cell = Cell(src, dst, slot, -1, None if tags is None else tags[src])
+            if counted:
+                stats.offered += 1
+            if san:
+                self.sanitizer.packet_injected(slot, cell.uid)
+            if tel:
+                self.telemetry.events.emit(slot, ARRIVE, cell.uid, src=src, dst=dst)
                 self._m_arrivals[src].inc()
-            if self._admit(cell):
-                self.stats.record_accept(self.slot)
+            if admit(cell):
+                if counted:
+                    stats.accepted += 1
             else:
-                if self._san:
-                    self.sanitizer.packet_dropped(self.slot, cell.uid)
-                self.stats.record_drop(self.slot)
-                if self._tel:
+                if san:
+                    self.sanitizer.packet_dropped(slot, cell.uid)
+                if counted:
+                    stats.dropped += 1
+                if tel:
                     self.telemetry.events.emit(
-                        self.slot, DROP, cell.uid, src=src, dst=dst,
+                        slot, DROP, cell.uid, src=src, dst=dst,
                         cause=DROP_BUFFER_FULL,
                     )
                     self._m_drops[src].inc()
 
         departures = self._select_departures()
-        if len(departures) != self.n_out:
+        if len(departures) != n_out:
             raise AssertionError(
                 f"{type(self).__name__} returned {len(departures)} departures, "
-                f"expected {self.n_out}"
+                f"expected {n_out}"
             )
+        record_departure = stats.record_departure
         for j, cell in enumerate(departures):
             if cell is None:
                 continue
@@ -187,32 +190,30 @@ class SlottedSwitch(ABC):
                 raise AssertionError(
                     f"cell {cell.uid} destined to {cell.dst} departed on output {j}"
                 )
-            cell.depart_slot = self.slot
-            if self._san:
-                self.sanitizer.packet_delivered(self.slot, cell.uid)
-            self.stats.record_departure(cell.dst, cell.arrival_slot, self.slot)
-            if self._tel:
+            cell.depart_slot = slot
+            if san:
+                self.sanitizer.packet_delivered(slot, cell.uid)
+            record_departure(j, cell.arrival_slot, slot)
+            if tel:
                 self.telemetry.events.emit(
-                    self.slot, DEPART, cell.uid, src=cell.src, dst=j,
-                    aux=self.slot,
+                    slot, DEPART, cell.uid, src=cell.src, dst=j, aux=slot,
                 )
                 self._m_departures[j].inc()
-                if cell.arrival_slot >= self.stats.warmup:
-                    self._m_delay.observe(self.slot - cell.arrival_slot)
+                if cell.arrival_slot >= stats.warmup:
+                    self._m_delay.observe(slot - cell.arrival_slot)
 
-        if self.sample_occupancy and self.slot >= self.stats.warmup:
+        if self.sample_occupancy and counted:
             self._occupancy_samples.append(self.occupancy())
-        if self._tel:
+        if tel:
             iv = self.telemetry.sample_interval
-            if iv and self.slot % iv == 0:
+            if iv and slot % iv == 0:
                 occ = self.occupancy()
-                self.telemetry.sample(self.slot, occ)
+                self.telemetry.sample(slot, occ)
                 self._m_occupancy.set(occ)
-        if self._san:
-            self.sanitizer.end_cycle(self.slot, self.occupancy())
+        if san:
+            self.sanitizer.end_cycle(slot, self.occupancy())
 
-        self.slot += 1
-        self.stats.horizon = self.slot
+        self.slot = stats.horizon = slot + 1
         return departures
 
     def run(self, source: TrafficSource, slots: int) -> SwitchStats:

@@ -68,7 +68,9 @@ class FifoInputQueued(SlottedSwitch):
         departures: list[Cell | None] = [None] * self.n_out
         for j, inputs in contenders.items():
             if self.arbitration == "random":
-                winner = inputs[int(self.rng.integers(0, len(inputs)))]
+                # a lone contender takes no draw: integers(0, 1) consumes nothing
+                k = len(inputs)
+                winner = inputs[int(self.rng.integers(0, k))] if k > 1 else inputs[0]
             else:
                 ptr = self._rr_pointer[j]
                 winner = min(inputs, key=lambda i: (i - ptr) % self.n_in)

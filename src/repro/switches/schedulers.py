@@ -17,9 +17,11 @@ here:
 * :class:`MaxSizeMatching` — exact maximum-size bipartite matching
   (Hopcroft–Karp); an upper bound no hardware scheduler achieves per-slot.
 
-All schedulers consume a boolean request matrix ``requests[i][j]`` ("input i
-has at least one cell for output j") and return a conflict-free matching as a
-list of ``(input, output)`` pairs.
+All schedulers consume per-output request masks, as the Tiny Tera iSLIP
+does with its request bit vectors: bit ``i`` of ``cols[j]`` means "input i
+has at least one cell for output j".  They return a conflict-free matching
+as a list of ``(input, output)`` pairs.  :meth:`Scheduler.match` adapts a
+boolean request matrix ``requests[i][j]`` to that form.
 """
 
 from __future__ import annotations
@@ -31,31 +33,40 @@ import numpy as np
 from repro.sim.rng import make_rng
 
 
+def _pick(mask: int, integers) -> int:
+    """A uniformly random set bit of nonzero ``mask``: one ``integers(0, k)``
+    draw over its ``k`` set bits, lowest first, and no draw for one bit."""
+    if mask & (mask - 1):
+        for _ in range(int(integers(0, mask.bit_count()))):
+            mask &= mask - 1  # drop the lowest set bit
+    return (mask & -mask).bit_length() - 1
+
+
+def _first_from(mask: int, ptr: int) -> int:
+    """Index of the first set bit of nonzero ``mask`` at or after ``ptr``,
+    wrapping around to bit 0."""
+    high = mask >> ptr << ptr or mask
+    return (high & -high).bit_length() - 1
+
+
 class Scheduler(ABC):
-    """Computes one crossbar matching per slot from a request matrix."""
+    """Computes one crossbar matching per slot from request masks."""
 
     name = "abstract"
 
     @abstractmethod
-    def match(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        """Return a matching (no input or output repeated) within ``requests``."""
+    def match_masks(self, cols: list[int], n_in: int, n_out: int) -> list[tuple[int, int]]:
+        """Return a matching (no input or output repeated) within ``cols``."""
 
-    @staticmethod
-    def _validate(requests: np.ndarray) -> tuple[int, int]:
+    def match(self, requests: np.ndarray) -> list[tuple[int, int]]:
+        """Match a boolean ``(n_in, n_out)`` request matrix."""
+        requests = np.asarray(requests, dtype=bool)
         if requests.ndim != 2:
             raise ValueError(f"request matrix must be 2-D, got shape {requests.shape}")
-        return requests.shape
-
-
-def _check_matching(requests: np.ndarray, pairs: list[tuple[int, int]]) -> None:
-    """Internal sanity check used by tests: pairs form a matching in requests."""
-    ins = [i for i, _ in pairs]
-    outs = [j for _, j in pairs]
-    if len(set(ins)) != len(ins) or len(set(outs)) != len(outs):
-        raise AssertionError(f"not a matching: {pairs}")
-    for i, j in pairs:
-        if not requests[i][j]:
-            raise AssertionError(f"pair ({i},{j}) not requested")
+        n_in, n_out = requests.shape
+        cols = [sum(1 << i for i in np.flatnonzero(col).tolist())
+                for col in requests.T]
+        return self.match_masks(cols, n_in, n_out)
 
 
 class PIM(Scheduler):
@@ -66,6 +77,12 @@ class PIM(Scheduler):
     random; every input *accepts* one grant uniformly at random.  [AOST93]
     showed that ``log2(n) + 3/4`` iterations resolve almost all requests;
     the default of 4 iterations matches the AN2 hardware.
+
+    Outputs grant in ascending order, each with one ``integers(0, k)`` draw
+    over its ``k`` free requesters (lowest input first); inputs then accept
+    in the order of their first grant, each with one draw over its granting
+    outputs (lowest first).  A single candidate takes no draw:
+    ``integers(0, 1)`` leaves the generator state unchanged.
     """
 
     def __init__(self, iterations: int = 4, seed=None) -> None:
@@ -75,32 +92,27 @@ class PIM(Scheduler):
         self.rng = make_rng(seed)
         self.name = f"PIM-{iterations}"
 
-    def match(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        n_in, n_out = self._validate(requests)
-        free_in = np.ones(n_in, dtype=bool)
-        free_out = np.ones(n_out, dtype=bool)
+    def match_masks(self, cols: list[int], n_in: int, n_out: int) -> list[tuple[int, int]]:
+        integers = self.rng.integers
+        free_in = (1 << n_in) - 1
+        outs = [j for j in range(n_out) if cols[j]]  # free outputs with requests
         pairs: list[tuple[int, int]] = []
         for _ in range(self.iterations):
             # Grant phase: each free output grants one free requesting input.
-            grants: dict[int, list[int]] = {}
-            progress = False
-            for j in range(n_out):
-                if not free_out[j]:
-                    continue
-                candidates = [i for i in range(n_in) if free_in[i] and requests[i][j]]
-                if not candidates:
-                    continue
-                winner = candidates[int(self.rng.integers(0, len(candidates)))]
-                grants.setdefault(winner, []).append(j)
+            grants: dict[int, int] = {}  # input -> mask of granting outputs
+            for j in outs:
+                cand = cols[j] & free_in
+                if cand:
+                    i = _pick(cand, integers)
+                    grants[i] = grants.get(i, 0) | 1 << j
+            if not grants:
+                break
             # Accept phase: each input accepts one grant.
             for i, granted in grants.items():
-                j = granted[int(self.rng.integers(0, len(granted)))]
+                j = _pick(granted, integers)
                 pairs.append((i, j))
-                free_in[i] = False
-                free_out[j] = False
-                progress = True
-            if not progress:
-                break
+                free_in ^= 1 << i
+                outs.remove(j)
         return pairs
 
 
@@ -118,45 +130,35 @@ class Islip(Scheduler):
         if iterations < 1:
             raise ValueError(f"need >= 1 iteration, got {iterations}")
         self.iterations = iterations
-        self._grant_ptr: np.ndarray | None = None
-        self._accept_ptr: np.ndarray | None = None
+        self._grant_ptr: list[int] = []
+        self._accept_ptr: list[int] = []
         self.name = f"iSLIP-{iterations}"
 
-    def _ensure_state(self, n_in: int, n_out: int) -> None:
-        if self._grant_ptr is None or len(self._grant_ptr) != n_out:
-            self._grant_ptr = np.zeros(n_out, dtype=int)
-            self._accept_ptr = np.zeros(n_in, dtype=int)
-
-    def match(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        n_in, n_out = self._validate(requests)
-        self._ensure_state(n_in, n_out)
-        free_in = np.ones(n_in, dtype=bool)
-        free_out = np.ones(n_out, dtype=bool)
+    def match_masks(self, cols: list[int], n_in: int, n_out: int) -> list[tuple[int, int]]:
+        if len(self._grant_ptr) != n_out or len(self._accept_ptr) != n_in:
+            self._grant_ptr = [0] * n_out
+            self._accept_ptr = [0] * n_in
+        grant_ptr, accept_ptr = self._grant_ptr, self._accept_ptr
+        free_in = (1 << n_in) - 1
+        outs = [j for j in range(n_out) if cols[j]]  # free outputs with requests
         pairs: list[tuple[int, int]] = []
         for it in range(self.iterations):
-            grants: dict[int, list[int]] = {}
-            for j in range(n_out):
-                if not free_out[j]:
-                    continue
-                ptr = self._grant_ptr[j]
-                order = [(ptr + k) % n_in for k in range(n_in)]
-                for i in order:
-                    if free_in[i] and requests[i][j]:
-                        grants.setdefault(i, []).append(j)
-                        break
-            progress = False
-            for i, granted in grants.items():
-                ptr = self._accept_ptr[i]
-                j = min(granted, key=lambda jj: (jj - ptr) % n_out)
-                pairs.append((i, j))
-                free_in[i] = False
-                free_out[j] = False
-                progress = True
-                if it == 0:
-                    self._grant_ptr[j] = (i + 1) % n_in
-                    self._accept_ptr[i] = (j + 1) % n_out
-            if not progress:
+            grants: dict[int, int] = {}  # input -> mask of granting outputs
+            for j in outs:
+                cand = cols[j] & free_in
+                if cand:
+                    i = _first_from(cand, grant_ptr[j])
+                    grants[i] = grants.get(i, 0) | 1 << j
+            if not grants:
                 break
+            for i, granted in grants.items():
+                j = _first_from(granted, accept_ptr[i])
+                pairs.append((i, j))
+                free_in ^= 1 << i
+                outs.remove(j)
+                if it == 0:
+                    grant_ptr[j] = (i + 1) % n_in
+                    accept_ptr[i] = (j + 1) % n_out
         return pairs
 
 
@@ -174,24 +176,27 @@ class TwoDimRoundRobin(Scheduler):
         self._slot = 0
         self.name = "2DRR"
 
-    def match(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        n_in, n_out = self._validate(requests)
+    def match_masks(self, cols: list[int], n_in: int, n_out: int) -> list[tuple[int, int]]:
         n = max(n_in, n_out)
-        free_in = np.ones(n_in, dtype=bool)
-        free_out = np.ones(n_out, dtype=bool)
+        free_in = 0  # free inputs with at least one request
+        for col in cols:
+            free_in |= col
+        free_out = (1 << n_out) - 1
         pairs: list[tuple[int, int]] = []
         first = self._slot % n
+        self._slot += 1
         for step in range(n):
             d = (first + step) % n
-            for i in range(n_in):
+            rest = free_in
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
                 j = (i + d) % n
-                if j >= n_out:
-                    continue
-                if free_in[i] and free_out[j] and requests[i][j]:
+                if j < n_out and cols[j] & bit and free_out >> j & 1:
                     pairs.append((i, j))
-                    free_in[i] = False
-                    free_out[j] = False
-        self._slot += 1
+                    free_in ^= bit
+                    free_out ^= 1 << j
         return pairs
 
 
@@ -202,18 +207,18 @@ class GreedyMaximal(Scheduler):
         self.rng = make_rng(seed)
         self.name = "greedy-maximal"
 
-    def match(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        n_in, n_out = self._validate(requests)
-        edges = [(i, j) for i in range(n_in) for j in range(n_out) if requests[i][j]]
+    def match_masks(self, cols: list[int], n_in: int, n_out: int) -> list[tuple[int, int]]:
+        edges = [(i, j) for i in range(n_in) for j in range(n_out)
+                 if cols[j] >> i & 1]
         self.rng.shuffle(edges)
-        free_in = np.ones(n_in, dtype=bool)
-        free_out = np.ones(n_out, dtype=bool)
+        free_in = (1 << n_in) - 1
+        free_out = (1 << n_out) - 1
         pairs: list[tuple[int, int]] = []
         for i, j in edges:
-            if free_in[i] and free_out[j]:
+            if free_in >> i & 1 and free_out >> j & 1:
                 pairs.append((i, j))
-                free_in[i] = False
-                free_out[j] = False
+                free_in &= ~(1 << i)
+                free_out &= ~(1 << j)
         return pairs
 
 
@@ -227,10 +232,9 @@ class MaxSizeMatching(Scheduler):
     def __init__(self) -> None:
         self.name = "max-size"
 
-    def match(self, requests: np.ndarray) -> list[tuple[int, int]]:
+    def match_masks(self, cols: list[int], n_in: int, n_out: int) -> list[tuple[int, int]]:
         import networkx as nx  # deferred: heavy import, only needed here
 
-        n_in, n_out = self._validate(requests)
         g = nx.Graph()
         g.add_nodes_from(("in", i) for i in range(n_in))
         g.add_nodes_from(("out", j) for j in range(n_out))
@@ -238,7 +242,7 @@ class MaxSizeMatching(Scheduler):
             (("in", i), ("out", j))
             for i in range(n_in)
             for j in range(n_out)
-            if requests[i][j]
+            if cols[j] >> i & 1
         )
         top = [("in", i) for i in range(n_in)]
         matching = nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)

@@ -76,10 +76,12 @@ class SharedBuffer(SlottedSwitch):
         return True  # provisional; adjusted in _select_departures
 
     def _select_departures(self) -> list[Cell | None]:
-        if self._pending:
-            order = self.rng.permutation(len(self._pending))
+        pending = self._pending
+        if pending:
+            # one pending cell takes no draw: permutation(1) consumes nothing
+            order = self.rng.permutation(len(pending)).tolist() if len(pending) > 1 else [0]
             for k in order:
-                cell = self._pending[int(k)]
+                cell = pending[k]
                 if self.capacity is not None and self._total >= self.capacity:
                     self._record_late_drop(cell)
                 elif not self._policy_trivial and not self.policy.admit(
@@ -94,13 +96,8 @@ class SharedBuffer(SlottedSwitch):
                     self.queues[cell.dst].append(cell)
                     self._total += 1
             self._pending = []
-        departures: list[Cell | None] = []
-        for q in self.queues:
-            if q:
-                departures.append(q.popleft())
-                self._total -= 1
-            else:
-                departures.append(None)
+        departures = [q.popleft() if q else None for q in self.queues]
+        self._total -= self.n_out - departures.count(None)
         return departures
 
     def occupancy(self) -> int:

@@ -70,7 +70,9 @@ class SpeedupSwitch(SlottedSwitch):
                     continue  # backpressure: output queue full, HoL cell waits
                 contenders.setdefault(j, []).append(i)
         for j, inputs in contenders.items():
-            winner = inputs[int(self.rng.integers(0, len(inputs)))]
+            # a lone contender takes no draw: integers(0, 1) consumes nothing
+            k = len(inputs)
+            winner = inputs[int(self.rng.integers(0, k))] if k > 1 else inputs[0]
             self.out_queues[j].append(self.in_queues[winner].popleft())
 
     def _select_departures(self) -> list[Cell | None]:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.sim.packet import Cell
 from repro.switches.base import SlottedSwitch
 from repro.switches.schedulers import Scheduler
@@ -59,6 +57,8 @@ class VoqInputBuffered(SlottedSwitch):
             [deque() for _ in range(n_out)] for _ in range(n_in)
         ]
         self._input_occupancy = [0] * n_in
+        # scheduler request masks: bit i of _cols[j] <=> voqs[i][j] nonempty
+        self._cols = [0] * n_out
 
     def _admit(self, cell: Cell) -> bool:
         if (
@@ -71,23 +71,22 @@ class VoqInputBuffered(SlottedSwitch):
             return False
         voq.append(cell)
         self._input_occupancy[cell.src] += 1
+        self._cols[cell.dst] |= 1 << cell.src
         return True
 
     def _select_departures(self) -> list[Cell | None]:
-        requests = np.zeros((self.n_in, self.n_out), dtype=bool)
-        for i in range(self.n_in):
-            for j in range(self.n_out):
-                if self.voqs[i][j]:
-                    requests[i, j] = True
+        cols = self._cols
         departures: list[Cell | None] = [None] * self.n_out
-        for i, j in self.scheduler.match(requests):
+        for i, j in self.scheduler.match_masks(cols, self.n_in, self.n_out):
             if departures[j] is not None:
                 raise AssertionError(
                     f"{self.scheduler.name} matched output {j} twice"
                 )
-            cell = self.voqs[i][j].popleft()
+            voq = self.voqs[i][j]
+            departures[j] = voq.popleft()
+            if not voq:
+                cols[j] &= ~(1 << i)
             self._input_occupancy[i] -= 1
-            departures[j] = cell
         return departures
 
     def occupancy(self) -> int:
