@@ -41,9 +41,10 @@ advances the switch in *cycle batches*:
 * **Input credits as a delayed token stream** — a credit returns a known
   ``W - 1`` cycles after the wave that frees it starts, so the engine sees
   it ahead.  A link that runs out of credit is checked at its next poll;
-  if still empty it is muted, its window arrivals are held back, and when
-  the credit returns its held arrivals and the rest of its tape shift by
-  the wait (``BatchRenewalSource.delay_link``).
+  if still empty it is muted, and when the credit returns the rest of its
+  arrivals shift by the wait (its tape in ``BatchRenewalSource``).  Window
+  arrivals are diverted lazily, as the loop reaches them, so a mute or
+  resume costs the same at every window size.
 
 The correctness contract is the equivalence matrix
 (``tests/core/test_batchpath.py``): checked == batch, bit for bit, on
@@ -59,11 +60,8 @@ on the checked kernel.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
-from heapq import heappop, heappush
-from itertools import compress
-from operator import not_
+from heapq import heapify, heappop, heappush
 from typing import Protocol, cast
 
 import numpy as np
@@ -320,7 +318,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._held: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._stream_end = [0] * n  # cycle each link's current packet tape ends
         self._chain: set[int] = set()
-        self._qchecks: list[tuple[int, int]] = []  # (cycle, link) quantum heap
+        # (cycle, link) quantum-check heap; see _advance_window for the
+        # (cycle, link, 0) entries it holds inside a window.
+        self._qchecks: list[tuple[int, ...]] = []
         self._rr_out = 0
         self._rr_in = 0
         self._busy_until = -1
@@ -412,13 +412,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         window_arrivals = self._tape.window_arrivals
         advance = self._advance_window
         batch = self.batch_cycles
-        credit_flow = self.config.credit_flow
         while self.cycle < stop:
             t1 = min(stop, self.cycle + batch)
-            ac, al, ad = window_arrivals(self.cycle, t1)
-            if credit_flow:  # hold back muted links, merge carried arrivals
-                ac, al, ad = self._splice(t1, ac, al, ad, 0)
-            advance(t1, ac, al, ad)
+            advance(t1, *window_arrivals(self.cycle, t1))
         self._flush()
         return self.stats
 
@@ -468,62 +464,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             and all(not q for q in self._queues)
         )
 
-    # -- input credit flow: held-back arrivals ----------------------------------
-    def _splice(
-        self, stop: int, arr_c: list[int], arr_l: list[int],
-        arr_d: list[int], ai: int,
-    ) -> tuple[list[int], list[int], list[int]]:
-        """The window arrivals from index ``ai`` on, re-formed for credit
-        muting: a muted link's arrivals move to its held list, and a
-        polling link's held arrivals before ``stop`` join the window, in
-        the scalar ``(cycle, link)`` order.
-
-        A splice runs at every mute and every resume, so the pass over the
-        whole remainder is one mask comprehension and C-level ``compress``;
-        only the few held arrivals are inserted one by one.
-        """
-        held = self._held
-        muted = 0
-        for i, m in enumerate(self._mute_at):
-            if m >= 0:
-                muted |= 1 << i
-        arr_c, arr_l, arr_d = arr_c[ai:], arr_l[ai:], arr_d[ai:]
-        if muted:
-            keep = [not muted >> i & 1 for i in arr_l]
-            if not all(keep):
-                gone = list(map(not_, keep))
-                for c, i, d in compress(zip(arr_c, arr_l, arr_d), gone):
-                    held[i].append((c, d))
-                arr_c = list(compress(arr_c, keep))
-                arr_l = list(compress(arr_l, keep))
-                arr_d = list(compress(arr_d, keep))
-        for i, h in enumerate(held):
-            if not h:
-                continue
-            if muted >> i & 1:
-                h.sort()  # window arrivals may precede carried-over ones
-                continue
-            k = 0
-            while k < len(h) and h[k][0] < stop:
-                c, d = h[k]
-                pos = bisect_left(arr_c, c)
-                while pos < len(arr_c) and arr_c[pos] == c and arr_l[pos] < i:
-                    pos += 1
-                arr_c.insert(pos, c)
-                arr_l.insert(pos, i)
-                arr_d.insert(pos, d)
-                k += 1
-            del h[:k]
-        return arr_c, arr_l, arr_d
-
-    def _delay_link(self, i: int, cycles: int) -> None:
-        """Unmute link ``i`` and shift everything it has not polled yet
-        ``cycles`` later: its held arrivals and the rest of its tape."""
-        self._mute_at[i] = -1
-        if cycles:
-            self._held[i] = [(c + cycles, d) for c, d in self._held[i]]
-            cast(BatchRenewalSource, self.source).delay_link(i, cycles)
-
+    # -- input credit flow ----------------------------------------------------
     def _resume_after_drain(self, since: int) -> None:
         """Re-anchor every link's tape after a drain that began at ``since``.
 
@@ -547,7 +488,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             elif not credits[i]:
                 continue
             if m < t:
-                self._delay_link(i, t - m)
+                self._mute_at[i] = -1
+                self._held[i] = [(c + t - m, d) for c, d in self._held[i]]
+                cast(BatchRenewalSource, self.source).delay_link(i, t - m)
 
     # -- the batch engine -----------------------------------------------------
     def _advance_window(
@@ -573,10 +516,14 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         quantum-boundary checks and store-and-forward completions each sit
         behind a hoisted sentinel, so a shape without them pays one test.
         So does input credit flow: credit returns and mute checks share one
-        sentinel, and a muted link's arrivals are spliced out of the window
-        until its credit returns.  With ``polling=False`` (a drain) no link
-        polls, so none is muted or resumed; :meth:`_resume_after_drain`
-        re-anchors them when the drain ends.
+        sentinel.  Phase 4 diverts a muted or resumed link's arrivals to its
+        ``_held`` FIFO as it reaches them; a polling link's FIFO head waits
+        on the quantum-check heap at its cycle plus the link's shift, the
+        waits it resumed from this window.  Shifts only grow, so a head
+        queued before a resume pops early and is re-queued: a mute or resume
+        moves no arrival.  With ``polling=False`` (a drain) no link polls,
+        so none is muted or resumed; :meth:`_resume_after_drain` re-anchors
+        them when the drain ends.
         """
         t = self.cycle
         n = self._n
@@ -620,18 +567,26 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # Input credit flow: returns are applied lazily (whenever the loop
         # reaches a cycle at or past them), except while a link is muted,
         # when the loop wakes at each return so a resumed link polls at
-        # exactly its return cycle.
+        # exactly its return cycle.  ``lazy`` flags the links that divert
+        # their arrivals (muted, or resumed this window), ``on_heap`` those
+        # with their _held head on the heap as (cycle + shift, link, 0).
         credit_flow = self.config.credit_flow
         credits = self._credits
         cdue = self._credit_due
         cdue_append = cdue.append
         cchecks = self._credit_checks
         mute_at = self._mute_at
-        muted = 0
+        hold = self._held
+        shift = [0] * n
+        muted = on_heap = 0
         if credit_flow:
             for i in range(n):
                 if mute_at[i] >= 0:
                     muted |= 1 << i
+                elif polling and hold[i]:
+                    heappush(qchecks, (hold[i][0][0], i, 0))
+                    on_heap |= 1 << i
+        lazy = muted
         # Telemetry: every collection site below sits behind ``tel``, so the
         # telemetry-off loop pays one check per site and builds no logs.
         # Telemetry-on windows log waves, arrivals, drops and samples for
@@ -755,9 +710,12 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # One sentinel for the two rare phase-0 events (sampling instants
         # and store completions), so the common loop pays one compare.
         next_aux = next_sample if next_sample < next_sdue else next_sdue
-        # Quantum checks due this cycle are checks[qi:qn]; each arrival
-        # cycle consumes them all, so qi == qn holds between check cycles.
+        # Heap entries due this cycle are checks[qi:qn]: the link of a
+        # quantum check (cdst -1) or of a carried arrival (cdst its
+        # destination).  Each arrival cycle consumes them all, so qi == qn
+        # holds between check cycles.
         checks: list[int] = []
+        cdst: list[int] = []
         qi = qn = 0
 
         while t < stop:
@@ -1073,41 +1031,65 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     pending_append((tail, uid, arr_q, src, j, t))
             # -- phase 3: input credit returns, then credit mute checks --------
             if next_cred <= t:
-                spliced = False
                 while cdue and cdue[0][0] <= t:
                     r, i = cdue.popleft()
                     credits[i] += 1
                     if muted >> i & 1 and polling:
-                        # The link polls again at r: its next outcome, due
-                        # at the mute cycle, shifts there.
-                        self._delay_link(i, r - mute_at[i])
+                        # The link polls again at r: everything it has not
+                        # polled, due from its mute cycle on, shifts by the
+                        # wait.  The wait is at least one cycle (a return
+                        # lands before its cycle's mute checks), so the
+                        # link stays lazy for the rest of the window.
+                        s = r - mute_at[i]
+                        shift[i] += s
+                        cast(BatchRenewalSource, self.source).delay_link(i, s)
+                        mute_at[i] = -1
                         muted ^= 1 << i
-                        spliced = True
+                        h = hold[i]
+                        if h and not on_heap >> i & 1:
+                            heappush(qchecks, (h[0][0] + shift[i], i, 0))
+                            on_heap |= 1 << i
                 while cchecks and cchecks[0][0] <= t:
                     i = cchecks.popleft()[1]
                     if not credits[i] and polling:
                         mute_at[i] = t
                         muted |= 1 << i
-                        spliced = True
-                if spliced:
-                    arr_c, arr_l, arr_d = self._splice(stop, arr_c, arr_l,
-                                                       arr_d, ai)
-                    ai = 0
-                    n_arr = len(arr_c)
-                    next_arr = arr_c[0] if n_arr else never
-                    next_p4 = next_arr if next_arr < next_qc else next_qc
+                        lazy |= 1 << i
+                next_qc = qchecks[0][0] if qchecks else never
+                next_p4 = next_arr if next_arr < next_qc else next_qc
                 next_cd = cdue[0][0] if cdue else never
                 next_cc = cchecks[0][0] if cchecks else never
                 next_cred = next_cd if next_cd < next_cc else next_cc
             # -- phase 4: arrivals and §3.5 quantum-boundary checks ------------
             if next_p4 == t:
-                # Both come in input-link order; a check at t + m*B drops
-                # a store still pending when the packet's next quantum
-                # reuses the input latch.
+                # Arrivals (window or carried) and checks come in input-link
+                # order; a check at t + m*B drops a store still pending
+                # when the packet's next quantum reuses the input latch.
                 if next_qc == t:
                     checks = []
+                    cdst = []
                     while qchecks and qchecks[0][0] == t:
-                        checks.append(heappop(qchecks)[1])
+                        e = heappop(qchecks)
+                        i = e[1]
+                        d = -1
+                        if len(e) > 2:
+                            # A _held FIFO head: taken if due now, else
+                            # early (the link shifted since) and re-queued;
+                            # a muted link's is re-queued on resume.
+                            on_heap ^= 1 << i
+                            if muted >> i & 1:
+                                continue
+                            h = hold[i]
+                            c = shift[i]
+                            if h[0][0] + c == t:
+                                d = h.pop(0)[1]
+                            if h:
+                                heappush(qchecks, (h[0][0] + c, i, 0))
+                                on_heap |= 1 << i
+                            if d < 0:
+                                continue
+                        checks.append(i)
+                        cdst.append(d)
                     qi = 0
                     qn = len(checks)
                 while True:
@@ -1116,98 +1098,107 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         i = arr_l[ai]
                         d = arr_d[ai]
                         ai += 1
-                        ibit = 1 << i
-                        if pend_mask & ibit:
-                            if credit_flow:
-                                raise DeadlineMissedError(
-                                    f"input {i}: packet {pend_uid[i]} overrun "
-                                    f"at cycle {t} despite credit flow control"
-                                )
-                            if pend_arr[i] >= warmup:
-                                dropped += 1
-                            overruns += 1
-                            unobstructed.discard(pend_uid[i])
-                            if tel:
-                                dlog_append((t, pend_uid[i], i, pend_dst[i],
-                                             _HEAD, pend_arr[i]))
-                        uid = next_uid
-                        next_uid += 1
-                        stream_end[i] = t + w
-                        if policy_trivial:
-                            admitted = True
-                        else:
-                            held = [
-                                len(qq) + (1 if next_ok[jj] > t else 0)
-                                for jj, qq in enumerate(queues)
-                            ]
-                            admitted = policy_admit(d, free, held, quanta)
-                        if admitted:
-                            if multi:
-                                for off in chain_offsets:
-                                    heappush(qchecks, (t + off, i))
-                            if credit_flow:
-                                credits[i] -= 1
-                                if not credits[i]:
-                                    # Out of credit: the link's next poll,
-                                    # at t + W, needs a returned credit.
-                                    cchecks.append((t + w, i))
-                                    if t + w < next_cc:
-                                        next_cc = t + w
-                                        if next_cc < next_cred:
-                                            next_cred = next_cc
-                            pend_uid[i] = uid
-                            pend_dst[i] = d
-                            pend_dbit[i] = ct_one << d
-                            pend_arr[i] = t
-                            pend_mask |= ibit
-                        if t >= warmup:
-                            offered += 1
-                            if (admitted and next_ok[d] <= t + 1
-                                    and not queues[d]):
-                                clear = True
-                                others = pend_mask ^ ibit
-                                try:
-                                    obits = bits[others]
-                                except KeyError:
-                                    obits = _fill_bits(bits, others)
-                                for k in obits:
-                                    if pend_dst[k] == d:
-                                        clear = False
-                                        break
-                                if clear:
-                                    unobstructed.add(uid)
-                        if not admitted:
-                            # The head-overrun branch above relies on the new
-                            # pend overwriting the old; a refusal creates no
-                            # pend, so clear the overrun one explicitly.
-                            pend_uid[i] = -1
-                            pend_mask &= ~ibit
-                            if t >= warmup:
-                                dropped += 1
-                            policy_drops += 1
-                            if tel:
-                                dlog_append((t, uid, i, d, _POLICY, t))
-                        if tel:
-                            alog_append((t, uid, i, d))
+                        if lazy and lazy >> i & 1:
+                            hold[i].append((t, d))
+                            if not (muted | on_heap) >> i & 1:
+                                heappush(qchecks, (t + shift[i], i, 0))
+                                on_heap |= 1 << i
+                            continue
                     elif qi < qn:
                         i = checks[qi]
+                        d = cdst[qi]
                         qi += 1
-                        if pend_mask >> i & 1:
-                            if pend_arr[i] >= warmup:
-                                dropped += 1
-                            overruns += 1
-                            uid = pend_uid[i]
-                            unobstructed.discard(uid)
-                            if tel:
-                                dlog_append((t, uid, i, pend_dst[i],
-                                             _QUANTUM, pend_arr[i]))
-                            pend_uid[i] = -1
-                            pend_mask ^= 1 << i
+                        if d < 0:
+                            if pend_mask >> i & 1:
+                                if pend_arr[i] >= warmup:
+                                    dropped += 1
+                                overruns += 1
+                                uid = pend_uid[i]
+                                unobstructed.discard(uid)
+                                if tel:
+                                    dlog_append((t, uid, i, pend_dst[i],
+                                                 _QUANTUM, pend_arr[i]))
+                                pend_uid[i] = -1
+                                pend_mask ^= 1 << i
+                            continue
                     else:
                         break
+                    # An arrival on link i for output d.
+                    ibit = 1 << i
+                    if pend_mask & ibit:
+                        if credit_flow:
+                            raise DeadlineMissedError(
+                                f"input {i}: packet {pend_uid[i]} overrun "
+                                f"at cycle {t} despite credit flow control"
+                            )
+                        if pend_arr[i] >= warmup:
+                            dropped += 1
+                        overruns += 1
+                        unobstructed.discard(pend_uid[i])
+                        if tel:
+                            dlog_append((t, pend_uid[i], i, pend_dst[i],
+                                         _HEAD, pend_arr[i]))
+                    uid = next_uid
+                    next_uid += 1
+                    stream_end[i] = t + w
+                    if policy_trivial:
+                        admitted = True
+                    else:
+                        held = [
+                            len(qq) + (1 if next_ok[jj] > t else 0)
+                            for jj, qq in enumerate(queues)
+                        ]
+                        admitted = policy_admit(d, free, held, quanta)
+                    if admitted:
+                        if multi:
+                            for off in chain_offsets:
+                                heappush(qchecks, (t + off, i))
+                        if credit_flow:
+                            credits[i] -= 1
+                            if not credits[i]:
+                                # Out of credit: the link's next poll,
+                                # at t + W, needs a returned credit.
+                                cchecks.append((t + w, i))
+                                if t + w < next_cc:
+                                    next_cc = t + w
+                                    if next_cc < next_cred:
+                                        next_cred = next_cc
+                        pend_uid[i] = uid
+                        pend_dst[i] = d
+                        pend_dbit[i] = ct_one << d
+                        pend_arr[i] = t
+                        pend_mask |= ibit
+                    if t >= warmup:
+                        offered += 1
+                        if (admitted and next_ok[d] <= t + 1
+                                and not queues[d]):
+                            clear = True
+                            others = pend_mask ^ ibit
+                            try:
+                                obits = bits[others]
+                            except KeyError:
+                                obits = _fill_bits(bits, others)
+                            for k in obits:
+                                if pend_dst[k] == d:
+                                    clear = False
+                                    break
+                            if clear:
+                                unobstructed.add(uid)
+                    if not admitted:
+                        # The head-overrun branch above relies on the new
+                        # pend overwriting the old; a refusal creates no
+                        # pend, so clear the overrun one explicitly.
+                        pend_uid[i] = -1
+                        pend_mask &= ~ibit
+                        if t >= warmup:
+                            dropped += 1
+                        policy_drops += 1
+                        if tel:
+                            dlog_append((t, uid, i, d, _POLICY, t))
+                    if tel:
+                        alog_append((t, uid, i, d))
                 next_arr = arr_c[ai] if ai < n_arr else never
-                if multi:
-                    next_qc = qchecks[0][0] if qchecks else never
+                next_qc = qchecks[0][0] if qchecks else never
                 next_p4 = next_arr if next_arr < next_qc else next_qc
                 # A pend created this cycle becomes eligible at t + 1; fold
                 # it into the idle-skip wake target.
@@ -1253,6 +1244,13 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 t = target
 
         # -- write back the hoisted state --------------------------------------
+        if on_heap:  # the FIFOs' heads leave the heap, their shifts apply
+            qchecks[:] = [e for e in qchecks if len(e) == 2]
+            heapify(qchecks)
+        if lazy:
+            for i, c in enumerate(shift):
+                if c:
+                    hold[i] = [(a + c, d) for a, d in hold[i]]
         self._free = free
         self._peak_occ = addresses - min_free
         self._rr_out = rr_out

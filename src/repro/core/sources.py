@@ -185,30 +185,33 @@ class BatchRenewalSource(PacketSource):
     _LOOKAHEAD = 4096
 
     def _extend(self, link: int, horizon: int) -> None:
-        """Draw polls for ``link`` until its tape covers cycles < horizon."""
-        start = self._next_draw[link]
-        if horizon - start <= 0:
-            return
-        count = max(horizon - start, self._LOOKAHEAD)
-        # Every poll advances the link by at least one cycle, so ``count``
-        # draws are guaranteed to reach ``horizon`` (hits overshoot and
-        # stay buffered for later windows).  Drawing the coin flips as one
-        # block and the destinations as one block consumes both streams in
-        # exactly the scalar per-poll order.
-        u = self._u_rng[link].random(count)
-        hits = u < self.start_prob
+        """Draw polls for ``link`` until its tape covers cycles < horizon.
+
+        A block holds enough polls to reach ``horizon`` if all hit (a hit
+        advances the link W cycles, a miss one), so a long window at high
+        load does not over-draw the tape W-fold; a shortfall draws again.
+        One block of coin flips and one of destinations consume both
+        streams in exactly the scalar per-poll order.
+        """
         w = self.packet_words
-        steps = np.where(hits, np.int64(w), np.int64(1))
-        cycles = start + np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(steps[:-1]))
-        )
-        dsts = np.full(count, -1, dtype=np.int64)
-        n_hits = int(np.count_nonzero(hits))
-        if n_hits:
-            dsts[hits] = self._d_rng[link].integers(0, self.n_out, size=n_hits)
-        self._tape_cycle[link] = np.concatenate((self._tape_cycle[link], cycles))
-        self._tape_dst[link] = np.concatenate((self._tape_dst[link], dsts))
-        self._next_draw[link] = start + int(steps.sum())
+        while self._next_draw[link] < horizon:
+            start = self._next_draw[link]
+            count = max((horizon - start) // w + 1, self._LOOKAHEAD)
+            u = self._u_rng[link].random(count)
+            hits = u < self.start_prob
+            steps = np.where(hits, np.int64(w), np.int64(1))
+            cycles = start + np.concatenate(
+                (np.zeros(1, dtype=np.int64), np.cumsum(steps[:-1]))
+            )
+            dsts = np.full(count, -1, dtype=np.int64)
+            n_hits = int(np.count_nonzero(hits))
+            if n_hits:
+                dsts[hits] = self._d_rng[link].integers(0, self.n_out,
+                                                        size=n_hits)
+            self._tape_cycle[link] = np.concatenate(
+                (self._tape_cycle[link], cycles))
+            self._tape_dst[link] = np.concatenate((self._tape_dst[link], dsts))
+            self._next_draw[link] = start + int(steps.sum())
 
     def batch_arrivals(
         self, start: int, stop: int
@@ -304,9 +307,7 @@ class BatchRenewalSource(PacketSource):
         polling (credit-muted) and resumes ``cycles`` later consumes the
         same outcomes, only at later cycle labels.
         """
-        tape_c = self._tape_cycle[link]
-        if tape_c.size:
-            self._tape_cycle[link] = tape_c + cycles
+        self._tape_cycle[link] += cycles
         self._next_draw[link] += cycles
 
 

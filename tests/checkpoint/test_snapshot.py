@@ -414,14 +414,23 @@ def _build_credited(telemetry=False, batch_cycles=256):
 
 @pytest.mark.parametrize("telemetry", [False, True])
 @pytest.mark.parametrize("k,muted", [(37, False), (337, True)])
-def test_credited_batch_resumes_identically(k, muted, telemetry):
+def test_credited_batch_resumes_identically(k, muted, telemetry,
+                                            batch_cycles=256):
     """k=37 lies inside the first window; at k=337 link 2 is muted, with
     held-back arrivals and its tape not yet shifted."""
-    sw = _build_credited(telemetry)
+    sw = _build_credited(telemetry, batch_cycles)
     sw.run(k)
     assert any(m >= 0 for m in sw._mute_at) is muted
-    _assert_resume_identical(lambda: _build_credited(telemetry),
+    _assert_resume_identical(lambda: _build_credited(telemetry, batch_cycles),
                              n_total=1500, k=k)
+
+
+@pytest.mark.parametrize("telemetry", [False, True])
+@pytest.mark.parametrize("k,muted", [(37, False), (337, True)])
+def test_credited_one_window_resumes_identically(k, muted, telemetry):
+    """The same at 65,536 cycles: every run is one window, so the mute,
+    the resume and the carried arrivals all sit inside it."""
+    test_credited_batch_resumes_identically(k, muted, telemetry, 65536)
 
 
 def test_fast_kernel_doc_is_refused():

@@ -257,7 +257,7 @@ class TestBatchBoundaries:
         checked, drains_c = _run_reference(PipelinedSwitch, cfg, _renewal,
                                            0.9, 7, 50, cycles=357, rerun=123)
         fp = _fingerprint(checked)
-        for batch in (1, 2, 3, 5, 64, 4096):
+        for batch in (1, 2, 3, 5, 64, 4096, 65536):
             sw, drains_b = _run_batch(cfg, _renewal, 0.9, 7, 50, batch,
                                       cycles=357, rerun=123)
             _assert_fp_equal(fp, _fingerprint(sw), f"batch={batch}")
@@ -265,7 +265,9 @@ class TestBatchBoundaries:
 
     def test_tight_credits_mute_links(self):
         # The tight-credit rows exercise muting: some window ends with a
-        # link muted, and some with arrivals held past the window.
+        # link muted, and some with arrivals held past the window.  Held
+        # cycles are absolute at a window end: a polling link's carried
+        # arrivals lie past it.
         cfg = PipelinedSwitchConfig(n=4, addresses=32, credit_flow=True,
                                     credits_per_input=1)
         sw = BatchPipelinedSwitch(cfg, _renewal(cfg, 0.9, 3), batch_cycles=16)
@@ -273,8 +275,46 @@ class TestBatchBoundaries:
         for _ in range(100):
             sw.run(16)
             muted += any(m >= 0 for m in sw._mute_at)
-            carried += any(h and m < 0 for h, m in zip(sw._held, sw._mute_at))
+            for h, m in zip(sw._held, sw._mute_at):
+                if h and m < 0:
+                    carried += 1
+                    assert min(c for c, _ in h) >= sw.cycle
         assert muted and carried
+
+    def test_credit_remute_in_one_large_window(self):
+        # One 65,536-cycle window under tight credits: links mute again
+        # while arrivals carried from an earlier resume are still pending,
+        # so FIFO heads queued under a smaller shift pop early and are
+        # re-queued.  The source counts those resumes (the link's FIFO still
+        # holds an arrival the loop reached before its latest mute), so the
+        # case cannot silently vanish.
+        class Recording(BatchRenewalSource):
+            switch = None
+            remutes = 0
+
+            def delay_link(self, link, cycles):
+                sw = self.switch
+                if sw is not None and sw._mute_at[link] >= 0:
+                    self.remutes += any(c < sw._mute_at[link]
+                                        for c, _ in sw._held[link])
+                super().delay_link(link, cycles)
+
+        cfg = PipelinedSwitchConfig(n=4, addresses=32, credit_flow=True,
+                                    credits_per_input=1)
+        checked, drains_c = _run_reference(PipelinedSwitch, cfg, _renewal,
+                                           0.9, 3, 100, cycles=3000)
+        reset_packet_ids()
+        src = Recording(cfg.n, cfg.packet_words, load=0.9, seed=3)
+        sw = BatchPipelinedSwitch(cfg, src, batch_cycles=65536)
+        src.switch = sw
+        sw.warmup = 100
+        sw.run(3000)
+        drains = [sw.drain()]
+        sw.run(500)
+        drains.append(sw.drain())
+        assert src.remutes
+        _assert_fp_equal(_fingerprint(checked), _fingerprint(sw), "remute")
+        assert tuple(drains) == drains_c
 
     def test_window_larger_than_horizon(self):
         cfg = PipelinedSwitchConfig(n=4, addresses=32)
@@ -294,7 +334,7 @@ class TestBatchBoundaries:
     wirepipe=st.integers(0, 2),
     load=st.floats(0.2, 1.0),
     seed=st.integers(0, 2**16),
-    batch=st.sampled_from((1, 3, 64, 1024, 4096)),
+    batch=st.sampled_from((1, 3, 64, 1024, 4096, 65536)),
     telemetry=st.booleans(),
 )
 def test_random_configs_and_batch_sizes_identical(
