@@ -8,6 +8,7 @@ from repro.checkpoint.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     CheckpointError,
+    CheckpointStaleError,
     CheckpointUnsupportedError,
     fingerprint,
     fingerprint_doc,
@@ -22,6 +23,7 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "CheckpointError",
+    "CheckpointStaleError",
     "CheckpointUnsupportedError",
     "fingerprint",
     "fingerprint_doc",

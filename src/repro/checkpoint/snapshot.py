@@ -80,14 +80,18 @@ from repro.telemetry import (
 )
 
 SNAPSHOT_FORMAT = "repro-checkpoint"
-#: Version 2 added the admission-policy spec to the config codec, the
-#: ``policy_drops`` counter to the collectors block, and the policy
-#: runtime-state document.  Version 1 documents predate pluggable
-#: admission and are still read: they can only have been produced under
-#: complete sharing, so defaulting the missing fields is exact, not a
-#: guess.
-SNAPSHOT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+#: Version 3 stores a ``renewal_tape`` source's pre-drawn tape as a re-draw
+#: recipe (generator states before its oldest block, the blocks' poll
+#: counts and a cursor) instead of the tape arrays, and may carry the
+#: switch's top-level ``spec_hash``.  Version 2 added the
+#: admission-policy spec to the config codec, the ``policy_drops`` counter
+#: to the collectors block, and the policy runtime-state document.  Both
+#: older versions are still read: a version-1 or version-2 tape restores
+#: as literal polls, and version-1 documents predate pluggable admission,
+#: so they can only have been produced under complete sharing and
+#: defaulting the missing fields is exact, not a guess.
+SNAPSHOT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
 
 
 class CheckpointError(ConfigError):
@@ -98,6 +102,11 @@ class CheckpointUnsupportedError(CheckpointError):
     """This object is outside the checkpoint subsystem's support matrix;
     refused rather than approximated (the ``FastPathUnsupportedError``
     discipline applied to serialization)."""
+
+
+class CheckpointStaleError(CheckpointError):
+    """The document carries a different ``spec_hash`` than the one the
+    caller resumes."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +171,10 @@ def _stats_from(doc: dict, s: SwitchStats) -> None:
     s.horizon = doc["horizon"]
 
 
-def _plain(x: Any) -> Any:
-    """Recursively turn numpy integers into JSON-safe Python ints."""
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    return x
+def _pcg_doc(state: dict) -> dict:
+    """A copy of a PCG64 ``bit_generator.state``, whose values are plain
+    Python ints."""
+    return {**state, "state": dict(state["state"])}
 
 
 def _rng_doc(rng: np.random.Generator) -> dict:
@@ -180,7 +184,7 @@ def _rng_doc(rng: np.random.Generator) -> dict:
             f"only PCG64 generators (numpy default_rng) are snapshot-safe, "
             f"got {state.get('bit_generator')!r}"
         )
-    return _plain(state)
+    return state  # a fresh dict on every read
 
 
 def _rng_from(doc: dict) -> np.random.Generator:
@@ -290,9 +294,8 @@ def _source_doc(src: PacketSource) -> dict:
             load=_ff(src.load),
             u_rng=[_rng_doc(g) for g in src._u_rng],
             d_rng=[_rng_doc(g) for g in src._d_rng],
-            tape_cycle=[a.tolist() for a in src._tape_cycle],
-            tape_dst=[a.tolist() for a in src._tape_dst],
             next_draw=list(src._next_draw),
+            tape=[_tape_doc(src, link) for link in range(src.n_out)],
         )
         return base
     if t is SaturatingSource:
@@ -331,12 +334,21 @@ def _source_from(doc: dict) -> PacketSource:
     if kind == "renewal_tape":
         tape = BatchRenewalSource(n_out, packet_words, load=_df(doc["load"]),
                                   width_bits=width_bits, seed=0)
+        tape._next_draw = [int(x) for x in doc["next_draw"]]
+        if "tape" in doc:
+            for link, recipe in enumerate(doc["tape"]):
+                _tape_from(tape, link, recipe, doc["u_rng"][link],
+                           doc["d_rng"][link])
+            return tape
+        # Versions 1 and 2 stored the tape itself: its polls stay literal
+        # until they are handed out.
         tape._u_rng = [_rng_from(d) for d in doc["u_rng"]]
         tape._d_rng = [_rng_from(d) for d in doc["d_rng"]]
         tape._tape_cycle = [np.array(a, dtype=np.int64)
                             for a in doc["tape_cycle"]]
         tape._tape_dst = [np.array(a, dtype=np.int64) for a in doc["tape_dst"]]
-        tape._next_draw = [int(x) for x in doc["next_draw"]]
+        tape._blocks = [[(None, None, len(a))] if a else []
+                        for a in doc["tape_cycle"]]
         return tape
     if kind == "saturating":
         src = SaturatingSource(
@@ -354,6 +366,76 @@ def _source_from(doc: dict) -> PacketSource:
         src._next_idx = {int(link): int(idx) for link, idx in doc["next_idx"]}
         return src
     raise CheckpointError(f"unknown source type {kind!r} in snapshot")
+
+
+def _tape_doc(src: BatchRenewalSource, link: int) -> dict:
+    """How to re-draw ``link``'s unconsumed tape.
+
+    ``blocks`` lists the poll count of every block in the source's
+    recipe, dead leading blocks included, and ``cursor`` how many of
+    those polls were handed out; ``anchor`` holds the generator states
+    before the first re-drawable block.  A leading literal block (from a
+    version-1 or -2 document) carries its unconsumed polls.
+    """
+    blocks = src._blocks[link]
+    cursor = sum(b[2] for b in blocks) - src._tape_cycle[link].shape[0]
+    doc: dict = {"blocks": [b[2] for b in blocks], "cursor": cursor}
+    if blocks and blocks[0][0] is None:
+        left = max(blocks[0][2] - cursor, 0)
+        doc["literal"] = [src._tape_cycle[link][:left].tolist(),
+                          src._tape_dst[link][:left].tolist()]
+        blocks = blocks[1:]
+    if blocks:
+        doc["anchor"] = [_pcg_doc(blocks[0][0]), _pcg_doc(blocks[0][1])]
+    return doc
+
+
+def _tape_from(src: BatchRenewalSource, link: int, doc: dict, u_live: dict,
+               d_live: dict) -> None:
+    """Re-draw ``link``'s tape from its recipe (see :func:`_tape_doc`).
+
+    The blocks are drawn again from the anchor, the handed-out prefix is
+    dropped, and the rest moves by one constant onto ``next_draw``: every
+    ``delay_link`` shift moved the unconsumed polls and ``next_draw``
+    together.  The re-drawn generators must land on the live states, or
+    the document is refused.
+    """
+    counts = doc["blocks"]
+    skip = doc["cursor"]
+    literal = doc.get("literal")
+    if literal is not None:
+        src._blocks[link].append((None, None, counts[0]))
+        skip -= counts[0] - len(literal[0])
+        counts = counts[1:]
+    next_draw = src._next_draw[link]
+    if counts:
+        src._u_rng[link] = _rng_from(doc["anchor"][0])
+        src._d_rng[link] = _rng_from(doc["anchor"][1])
+        src._next_draw[link] = 0
+        for count in counts:
+            src._draw(link, count)
+        if (src._u_rng[link].bit_generator.state != u_live
+                or src._d_rng[link].bit_generator.state != d_live):
+            raise CheckpointError(
+                f"renewal_tape link {link}: re-drawing the tape does not "
+                f"reach the recorded generator states; the document is "
+                f"corrupt"
+            )
+    else:
+        src._u_rng[link] = _rng_from(u_live)
+        src._d_rng[link] = _rng_from(d_live)
+    if not 0 <= skip <= sum(counts):
+        raise CheckpointError(
+            f"renewal_tape link {link}: cursor {doc['cursor']} lies outside "
+            f"the recorded blocks {doc['blocks']}"
+        )
+    shift = next_draw - src._next_draw[link]
+    head_c, head_d = literal if literal is not None else ([], [])
+    src._tape_cycle[link] = np.concatenate((
+        np.array(head_c, dtype=np.int64), src._tape_cycle[link][skip:] + shift))
+    src._tape_dst[link] = np.concatenate((
+        np.array(head_d, dtype=np.int64), src._tape_dst[link][skip:]))
+    src._next_draw[link] = next_draw
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +928,7 @@ def snapshot_switch(switch: Any) -> dict:
         body = _snap_checked(switch)
     else:
         body = _snap_batch(switch)
-    return {
+    doc = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "kernel": kernel,
@@ -859,18 +941,29 @@ def snapshot_switch(switch: Any) -> dict:
         "policy_state": switch.policy.state(),
         "switch": body,
     }
+    if switch.spec_hash is not None:
+        doc["spec_hash"] = switch.spec_hash
+    return doc
 
 
-def restore_switch(doc: dict) -> Any:
+def restore_switch(doc: dict, spec_hash: str | None = None) -> Any:
     """Rebuild a switch from a snapshot document.
 
     The returned kernel continues bit-identically: ``restore(snapshot at
     k).run(N - k)`` equals an uninterrupted ``run(N)`` in every statistic,
     histogram, drop-taxonomy entry and telemetry event.  Also restores the
     global packet-id counter, so restore-in-a-fresh-process and
-    restore-in-the-same-process are indistinguishable.
+    restore-in-the-same-process are indistinguishable.  With ``spec_hash``
+    given, a document stamped with another hash raises
+    :class:`CheckpointStaleError`; an unstamped one is accepted.
     """
     _check_format(doc)
+    stamped = doc.get("spec_hash")
+    if spec_hash is not None and stamped not in (None, spec_hash):
+        raise CheckpointStaleError(
+            f"snapshot was written for another spec (spec_hash "
+            f"{stamped[:12]}…, expected {spec_hash[:12]}…)"
+        )
     kernel = doc["kernel"]
     if kernel == "fast":
         raise CheckpointUnsupportedError(
@@ -900,6 +993,8 @@ def restore_switch(doc: dict) -> Any:
     # document holds state a different (or stateful) policy wrote.
     sw.policy.restore_state(doc.get("policy_state"))
     set_packet_id_state(doc["packet_ids"])
+    if stamped is not None:
+        sw.spec_hash = stamped
     return sw
 
 
@@ -936,9 +1031,10 @@ def load(path: str | Path) -> dict:
     return doc
 
 
-def restore(path: str | Path) -> Any:
-    """Rebuild a switch from the snapshot at ``path``."""
-    return restore_switch(load(path))
+def restore(path: str | Path, spec_hash: str | None = None) -> Any:
+    """Rebuild a switch from the snapshot at ``path`` (see
+    :func:`restore_switch`)."""
+    return restore_switch(load(path), spec_hash)
 
 
 def fingerprint_doc(switch: Any) -> dict:

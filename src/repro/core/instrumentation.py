@@ -75,6 +75,10 @@ class SwitchTelemetryMixin:
     _tel: bool
     sanitizer: Sanitizer | NullSanitizer
     _san: bool
+    #: SHA-256 of the spec this switch runs, written into its checkpoints
+    #: so that a resume can tell them from those of an edited spec (the
+    #: sweep runner sets it); None leaves checkpoints unstamped.
+    spec_hash: str | None = None
 
     def attach_sanitizer(self, sanitizer: Sanitizer | None) -> None:
         """Point this switch's invariant hooks at ``sanitizer``.

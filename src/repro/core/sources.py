@@ -170,6 +170,15 @@ class BatchRenewalSource(PacketSource):
             np.empty(0, dtype=np.int64) for _ in range(n_out)
         ]
         self._next_draw = [0] * n_out  # cycle of each link's first undrawn poll
+        # The tape's re-draw recipe, per link: one ``(u state, d state,
+        # polls)`` entry per block drawn since the oldest block still on
+        # the tape, each with the generator states read just before it was
+        # drawn.  A checkpoint stores this instead of the tape
+        # (:mod:`repro.checkpoint`).  Entries with ``None`` states are
+        # polls restored literally from a document that stored the tape.
+        self._blocks: list[list[tuple[dict | None, dict | None, int]]] = [
+            [] for _ in range(n_out)
+        ]
 
     # -- scalar protocol (checked kernel) ------------------------------------
     def maybe_start(self, cycle: int, link: int) -> int | None:
@@ -190,28 +199,42 @@ class BatchRenewalSource(PacketSource):
         A block holds enough polls to reach ``horizon`` if all hit (a hit
         advances the link W cycles, a miss one), so a long window at high
         load does not over-draw the tape W-fold; a shortfall draws again.
+        Blocks handed out in full leave the re-draw recipe first.
+        """
+        w = self.packet_words
+        blocks = self._blocks[link]
+        while self._next_draw[link] < horizon:
+            unread = self._tape_cycle[link].shape[0]
+            while blocks and sum(b[2] for b in blocks[1:]) >= unread:
+                del blocks[0]
+            start = self._next_draw[link]
+            self._draw(link, max((horizon - start) // w + 1, self._LOOKAHEAD))
+
+    def _draw(self, link: int, count: int) -> None:
+        """Append ``count`` polls to ``link``'s tape from its first undrawn
+        cycle, recording the generator states they are drawn from.
+
         One block of coin flips and one of destinations consume both
         streams in exactly the scalar per-poll order.
         """
+        u_rng, d_rng = self._u_rng[link], self._d_rng[link]
+        self._blocks[link].append(
+            (u_rng.bit_generator.state, d_rng.bit_generator.state, count))
         w = self.packet_words
-        while self._next_draw[link] < horizon:
-            start = self._next_draw[link]
-            count = max((horizon - start) // w + 1, self._LOOKAHEAD)
-            u = self._u_rng[link].random(count)
-            hits = u < self.start_prob
-            steps = np.where(hits, np.int64(w), np.int64(1))
-            cycles = start + np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(steps[:-1]))
-            )
-            dsts = np.full(count, -1, dtype=np.int64)
-            n_hits = int(np.count_nonzero(hits))
-            if n_hits:
-                dsts[hits] = self._d_rng[link].integers(0, self.n_out,
-                                                        size=n_hits)
-            self._tape_cycle[link] = np.concatenate(
-                (self._tape_cycle[link], cycles))
-            self._tape_dst[link] = np.concatenate((self._tape_dst[link], dsts))
-            self._next_draw[link] = start + int(steps.sum())
+        start = self._next_draw[link]
+        u = u_rng.random(count)
+        hits = u < self.start_prob
+        steps = np.where(hits, np.int64(w), np.int64(1))
+        cycles = start + np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(steps[:-1]))
+        )
+        dsts = np.full(count, -1, dtype=np.int64)
+        n_hits = int(np.count_nonzero(hits))
+        if n_hits:
+            dsts[hits] = d_rng.integers(0, self.n_out, size=n_hits)
+        self._tape_cycle[link] = np.concatenate((self._tape_cycle[link], cycles))
+        self._tape_dst[link] = np.concatenate((self._tape_dst[link], dsts))
+        self._next_draw[link] = start + int(steps.sum())
 
     def batch_arrivals(
         self, start: int, stop: int

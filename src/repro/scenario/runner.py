@@ -31,7 +31,9 @@ scenario's is stale: the cell re-runs from a cold start.
 **Checkpointing.** ``checkpoint_every=k`` snapshots every word-level
 kernel to ``<out_dir>/checkpoints/<name>-seed<seed>.ckpt.json`` each ``k``
 cycles (see :mod:`repro.checkpoint`); an interrupted cell resumes mid-run
-from its snapshot instead of from cycle 0.  Grids whose cells share an
+from its snapshot instead of from cycle 0, unless the snapshot is stamped
+with another :func:`spec_hash` (the cell was edited under the same name):
+then the cell re-runs from cycle 0.  Grids whose cells share an
 identical warmup prefix (same config, traffic, seed and explicit warmup —
 differing only in name, horizon or drain) are detected automatically and
 run the warmup *once*: the group warms one kernel up, snapshots it in
@@ -41,6 +43,7 @@ bit-identical, so forked results equal cold-start results exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import signal
 import sys
@@ -75,6 +78,18 @@ def _write_json(path: Path, doc: Any) -> None:
     write_atomic(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
+def spec_hash(scenario: Scenario, seed: int) -> str:
+    """SHA-256 of the canonical scenario JSON plus the seed.
+
+    The ``seeds`` list is left out: adding a seed to a grid does not
+    change the other seeds' cells.
+    """
+    spec = {k: v for k, v in scenario.to_dict().items() if k != "seeds"}
+    canonical = json.dumps({"scenario": spec, "seed": seed}, sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def _run_job(job: tuple[dict[str, Any], int, str | None, bool],
              live_cb=None) -> dict[str, Any]:
     """Worker entry point: job is (scenario dict, seed, out_dir or None,
@@ -107,29 +122,34 @@ def _run_job_checkpointed(
     Resumes from ``<out_dir>/checkpoints/<name>-seed<seed>.ckpt.json``
     when it exists (skipping ``prepare()`` entirely — the snapshot carries
     the packet-uid counter, RNG streams and all attachments), then runs in
-    ``every``-cycle steps, saving a snapshot after each.  A snapshot the
-    checkpoint subsystem refuses (say, one from a removed kernel) costs
-    only that cell's progress: the cell re-runs from cycle 0 and the
-    reason goes to stderr.  The final summary goes through the same
-    :func:`execute_prepared` path as an uninterrupted run, so the result
-    is bit-identical.
+    ``every``-cycle steps, saving a snapshot after each.  Every snapshot
+    is stamped with the cell's :func:`spec_hash`.  A snapshot the
+    checkpoint subsystem refuses (say, one from a removed kernel) or one
+    stamped for another spec (the grid was edited under the same name)
+    costs only that cell's progress: the cell re-runs from cycle 0 and
+    the reason goes to stderr.  An unstamped snapshot is resumed.  The
+    final summary goes through the same :func:`execute_prepared` path as
+    an uninterrupted run, so the result is bit-identical.
     """
     from repro import checkpoint
 
     scenario_dict, seed, out_dir, sanitize, every = job
     scenario = Scenario.from_dict(scenario_dict)
     ckpt = _checkpoint_path(out_dir, scenario.name, seed)
+    key = spec_hash(scenario, seed)
     prep = None
     if ckpt.exists():
         try:
-            switch = checkpoint.restore(ckpt)
-        except checkpoint.CheckpointUnsupportedError as exc:
+            switch = checkpoint.restore(ckpt, spec_hash=key)
+        except (checkpoint.CheckpointUnsupportedError,
+                checkpoint.CheckpointStaleError) as exc:
             print(f"repro: {scenario.name}-seed{seed}: re-running from "
                   f"cycle 0: {exc}", file=sys.stderr)
         else:
             prep = prepared_from_switch(scenario, seed, switch)
     if prep is None:
         prep = prepare(scenario, seed, sanitize=sanitize)
+    prep.switch.spec_hash = key
     if live_cb is not None:
         live_cb(scenario.name, seed, prep.telemetry)
     try:

@@ -123,3 +123,25 @@ def test_snapshot_side_effect_fails_oracle(src_copy, snapshot_py):
     path.write_text(original.replace(
         anchor, anchor + "    switch.stats.delivered += 1\n"))
     _assert_oracle_fails(src_copy, "fingerprint")
+
+
+def test_tape_cursor_off_by_one_fails_oracle(src_copy, snapshot_py):
+    """Restore drops one handed-out poll too many: the re-drawn tape is one
+    poll short."""
+    path, original = snapshot_py
+    anchor = '    skip = doc["cursor"]\n'
+    assert original.count(anchor) == 1
+    path.write_text(original.replace(anchor, '    skip = doc["cursor"] + 1\n'))
+    _assert_oracle_fails(src_copy, "_tape_cycle")
+
+
+def test_live_state_as_redraw_anchor_fails_oracle(src_copy, snapshot_py):
+    """The recipe anchored at the live generators re-draws polls that lie
+    past the tape; the state check refuses the document."""
+    path, original = snapshot_py
+    anchor = 'doc["anchor"] = [_pcg_doc(blocks[0][0]), _pcg_doc(blocks[0][1])]'
+    assert original.count(anchor) == 1
+    path.write_text(original.replace(anchor, (
+        'doc["anchor"] = [_rng_doc(src._u_rng[link]), '
+        '_rng_doc(src._d_rng[link])]')))
+    _assert_oracle_fails(src_copy, "recorded generator states")

@@ -25,6 +25,7 @@ from repro.core import (
 )
 from repro.core.errors import ConfigError
 from repro.sim.packet import reset_packet_ids
+from tests.checkpoint.test_snapshot import as_version2
 
 KERNELS = {
     "checked": PipelinedSwitch,
@@ -75,7 +76,7 @@ def test_v1_document_restores_as_complete_sharing():
     as the seed semantics: complete sharing, zero policy drops."""
     sw = _build("batch", "complete")
     sw.run(800)
-    doc = json.loads(json.dumps(snapshot_switch(sw)))
+    doc = as_version2(snapshot_switch(sw), sw.source)
     doc["version"] = 1
     del doc["config"]["policy"]
     del doc["policy_state"]

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro import checkpoint, fileio
-from repro.scenario import prepare
+from repro.scenario import prepare, runner
 from repro.scenario.runner import ScenarioRunner
 from repro.scenario.spec import Scenario
 
@@ -55,6 +55,54 @@ def test_edited_grid_does_not_reuse_stale_cell(tmp_path):
     fresh = ScenarioRunner(jobs=1, out_dir=tmp_path / "fresh").run(edited)
     assert resumed == fresh
     assert resumed[0]["traffic"]["load"] == 0.9
+
+
+def test_edited_grid_discards_stale_mid_run_checkpoint(tmp_path, capsys):
+    """A mid-run checkpoint of a cell since edited under the same name,
+    with no result file left to compare: its stamp names the old spec, so
+    the cell re-runs from cycle 0 and stderr says why."""
+    out = tmp_path / "sweep"
+    old = _scenario("cell", 1200, load=0.2)
+    ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400).run([old])
+    (out / "results.json").unlink()
+    (out / "cell-seed3.json").unlink()
+    ckpt = out / "checkpoints" / "cell-seed3.ckpt.json"
+
+    edited = [_scenario("cell", 1200, load=0.9)]
+    resumed = ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400,
+                             resume=True).run(edited)
+    fresh = ScenarioRunner(jobs=1, out_dir=tmp_path / "fresh").run(edited)
+    assert resumed == fresh
+    err = capsys.readouterr().err
+    assert "cell-seed3: re-running from cycle 0" in err
+    assert "another spec" in err
+    assert runner.spec_hash(old, 3) != runner.spec_hash(edited[0], 3)
+    assert checkpoint.load(ckpt)["spec_hash"] == runner.spec_hash(edited[0], 3)
+
+
+def test_unstamped_mid_run_checkpoint_is_resumed(tmp_path, capsys,
+                                                 monkeypatch):
+    """A document without ``spec_hash`` (an older one, or one written with
+    plain ``checkpoint.save``) resumes as before: the cell is not rebuilt."""
+    clean = ScenarioRunner(jobs=1, out_dir=tmp_path / "clean").run(GRID)
+    out = tmp_path / "sweep"
+    ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400).run(GRID)
+    (out / "results.json").unlink()
+    (out / "cell-b-seed3.json").unlink()
+    sw = prepare(GRID[1], 3).switch
+    sw.run(800)
+    ckpt = out / "checkpoints" / "cell-b-seed3.ckpt.json"
+    checkpoint.save(sw, ckpt)
+    assert "spec_hash" not in checkpoint.load(ckpt)
+
+    built = []
+    monkeypatch.setattr(runner, "prepare",
+                        lambda sc, *a, **k: built.append(sc.name)
+                        or prepare(sc, *a, **k))
+    resumed = ScenarioRunner(jobs=1, out_dir=out, checkpoint_every=400,
+                             resume=True).run(GRID)
+    assert resumed == clean
+    assert built == [] and capsys.readouterr().err == ""
 
 
 def _jit_doc(doc):
