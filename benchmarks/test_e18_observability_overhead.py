@@ -16,14 +16,16 @@ null-object contract) must agree within 5%.  Two backstops catch what the
 pairing cannot — a regression that slows both arms equally:
 
 - structural: the disabled bundle must keep ``_tel`` False and the
-  kernel on its single window engine (``_lean``) — the realistic failure
-  mode, observability leaking into ``enabled``, switches on every
-  per-window logging branch and the ``_flush`` event replay, which run
-  at roughly a quarter of the telemetry-off throughput;
+  kernel on its single window engine (``_lean``).  This gate is what
+  catches telemetry switched on by mistake — observability leaking into
+  ``enabled``.  Throughput cannot: the batch kernel settles metrics from
+  per-window aggregates, so metrics-only windows run near the
+  telemetry-off rate (E20 bounds that cost), and only an event channel
+  brings back the per-packet window logs and the ``_flush`` event replay;
 - coarse throughput: best-of ≥ 60% of the recorded number, OR the
   batch/checked ratio ≥ 60% of the recorded ``batch_speedup`` (a
-  machine-wide slowdown divides out of the ratio).  Telemetry-on windows
-  sit at well under half of either floor — far outside harness noise.
+  machine-wide slowdown divides out of the ratio), which catches a
+  kernel-wide slowdown far outside harness noise.
 
 Refresh baselines with ``PYTHONPATH=src python benchmarks/record.py``
 when moving machines.
@@ -55,10 +57,9 @@ from repro.telemetry import (
 BENCH_PATH = Path(__file__).parent / "BENCH_fastpath.json"
 BASELINE_EXPERIMENT = "E15 8x8 load 0.6 drop-tail"
 MAX_SLOWDOWN = 0.05  # observability fully off may cost at most 5%
-# Coarse throughput backstop: telemetry-on windows run at roughly a
-# quarter of the telemetry-off throughput, so 60% of the recorded number
-# (or of the recorded batch/checked ratio) cleanly separates "harness
-# noise" from "telemetry wrongly on".
+# Coarse throughput backstop: 60% of the recorded number (or of the
+# recorded batch/checked ratio) separates harness noise from a kernel-wide
+# slowdown; telemetry wrongly on is the structural gate's to catch.
 BATCH_BACKSTOP = 0.60
 CYCLES = 150_000  # checked: must match record.py's horizon
 # The batch kernel clears 150k cycles in ~0.15s — short enough that

@@ -893,6 +893,9 @@ def _restore_batch(
             )
         sw._tape._next_poll = body["tape_next_poll"]
     _collectors_from(body, sw)
+    # Flush markers: a snapshot follows a flush, so each equals its counter.
+    sw._waves_flushed = (sw.write_waves, sw.cut_through_waves, sw.plain_read_waves)
+    sw._delivered_flushed = list(sw.stats.per_output_delivered)
     return sw
 
 

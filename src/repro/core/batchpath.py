@@ -21,13 +21,15 @@ advances the switch in *cycle batches*:
   telemetry sampling instant).  Idle spans between them are accounted in
   closed form.
 * **Batched statistics and telemetry** — per-cycle collection is replaced
-  by per-window logs of wave admissions, arrivals and drops; every
-  downstream consequence (departure cycles, latency accumulators, the full
-  ARRIVE/STORE_WAVE/CUT_THROUGH/READ_WAVE/DEPART/drop event stream, bulk
-  metric increments) is derived from the logs at batch granularity, in the
-  exact order the checked kernel records it — Welford accumulators and
-  float histogram sums are order-sensitive, so the replay order is part
-  of the contract.
+  by batch-granularity accounting.  Departures apply inline, in the
+  checked kernel's exact order (Welford accumulators are order-sensitive,
+  so the order is part of the contract); those that straddle a window
+  wait on a pending deque.  Metrics settle once per flush from per-window
+  aggregates: counter deltas, per-port counts, and one weighted histogram
+  observation per distinct latency.  Only an event channel (an event log
+  or sampled tracing) keeps per-window logs of wave admissions and
+  arrivals; the flush then replays the full ARRIVE/STORE_WAVE/CUT_THROUGH/
+  READ_WAVE/DEPART/drop event stream from them, departures included.
 * **Scalar fallback across intra-window dependencies** — arbitration
   decisions feed each other (a read at ``t`` changes what is eligible at
   ``t+1``), so decision resolution stays sequential; everything around it
@@ -348,9 +350,16 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self.stagger_extra = Counter()
         self._unobstructed: set[int] = set()
         # -- batched logs, consumed by _flush() --------------------------------
+        # The wave and arrival logs feed only the event channel; metrics
+        # settle from per-window aggregates (see _flush).
         self._wave_log: list[tuple[int, int, int, int, int, int]] = []
         self._drop_log: list[tuple[int, int, int, int, int, int]] = []
         self._arrive_log: list[tuple[int, int, int, int]] = []
+        # Per-port telemetry aggregates since the last flush: arrivals, and
+        # departures whose head precedes warmup (those after it are the
+        # per_output_delivered delta).
+        self._port_arrivals = [0] * n
+        self._warmup_departures = [0] * n
         # (cycle, free, out_credits, queue_depths, drop_log_prefix, peak,
         # in_credits): the prefix is len(_drop_log) at the sampling instant,
         # so _flush can reconstruct the drop taxonomy visible at each
@@ -365,8 +374,13 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # t0 + W), encoded cycle << n | output bit so the hot loop never
         # builds or unpacks tuples.  Persisted across windows.
         self._due: deque[int] = deque()
+        # Counter values at the last flush, whose deltas settle the metrics.
+        # A snapshot follows a flush, so restore derives them from the
+        # counters themselves.
         self._idle_flushed = 0
         self._deadline_flushed = 0
+        self._waves_flushed = (0, 0, 0)  # (write, cut-through, read)
+        self._delivered_flushed = [0] * n
         self.attach_telemetry(telemetry)
         self.attach_sanitizer(sanitizer)
         # Mask caches filled on first use (see _fill_bits / _fill_first).
@@ -509,10 +523,14 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         hoisted locals.  Per-output state is mirrored in bitmasks, so the
         round-robin scans become cached mask picks; ``next_wave_ok``
         expiries become a due-event deque, so the idle-skip target needs no
-        per-output scan.  With telemetry off, departures are applied inline
-        (or queued on the pending deque if they straddle the window) and no
-        log is built; with it on, waves, arrivals, drops and samples go to
-        the window logs that :meth:`_flush` replays.  Multi-quantum chains,
+        per-output scan.  Without an event channel, departures are applied
+        inline (or queued on the pending deque if they straddle the window)
+        and no wave or arrival log is built; telemetry then only logs drops
+        and samples (the series ring needs the drop taxonomy at each
+        sample) and counts arrivals, and departures before warmup, per
+        port.  With an event channel, waves and arrivals also go to the
+        window logs that :meth:`_flush` replays, departures included.
+        Multi-quantum chains,
         quantum-boundary checks and store-and-forward completions each sit
         behind a hoisted sentinel, so a shape without them pays one test.
         So does input credit flow: credit returns and mute checks share one
@@ -589,17 +607,22 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         lazy = muted
         # Telemetry: every collection site below sits behind ``tel``, so the
         # telemetry-off loop pays one check per site and builds no logs.
-        # Telemetry-on windows log waves, arrivals, drops and samples for
-        # _flush, which also replays every departure from the wave log.
+        # Telemetry-on windows log drops and samples and count arrivals per
+        # port for _flush.  Only an event channel logs waves and arrivals;
+        # _flush then replays every departure from the wave log, so its
+        # windows apply none inline.
         tel = self._tel
+        events = tel and self.telemetry.events.enabled
         wlog_append = self._wave_log.append
         drop_log = self._drop_log
         dlog_append = drop_log.append
         alog_append = self._arrive_log.append
         sample_log = self._sample_log
+        port_arrivals = self._port_arrivals
+        warmup_deps = self._warmup_departures
         addresses = self.config.addresses
         min_free = addresses - self._peak_occ  # occupancy high-water mark
-        inline_deps = not draining and not tel
+        inline_deps = not draining and not events
         if inline_deps:
             # Departure-bearing waves start in tail order (same W for every
             # wave), so straddlers left over from the previous window all
@@ -614,6 +637,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                 if head >= warmup:
                     stats.delivered += 1
                     stats.per_output_delivered[d_dst] += 1
+                elif tel:
+                    warmup_deps[d_dst] += 1
                 if d_uid in unobstructed:
                     unobstructed.remove(d_uid)
                     staggerless = True
@@ -849,7 +874,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     next_aux = next_sdue
                         q.append((uid, best_arr, t, best_i))
                         write_waves += 1
-                        if tel:
+                        if events:
                             wlog_append((t, _STORE, uid, best_i, j, best_arr))
                         if multi:
                             for off in chain_offsets:
@@ -938,7 +963,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     next_aux = next_sdue
                         q.append((uid, sa, t, sel))
                         write_waves += 1
-                        if tel:
+                        if events:
                             wlog_append((t, _STORE, uid, sel, d, sa))
                         if multi:
                             for off in chain_offsets:
@@ -989,6 +1014,8 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     if head >= warmup:
                         delivered += 1
                         per_out[j] += 1
+                    elif tel:
+                        warmup_deps[j] += 1
                     if uid in unobstructed:
                         unobstructed_remove(uid)
                         staggerless = True
@@ -1025,7 +1052,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                 sg_min = sg
                             if sg > sg_max:
                                 sg_max = sg
-                elif tel:
+                elif events:
                     wlog_append((t, wave, uid, src, j, arr_q))
                 else:
                     pending_append((tail, uid, arr_q, src, j, t))
@@ -1196,7 +1223,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         if tel:
                             dlog_append((t, uid, i, d, _POLICY, t))
                     if tel:
-                        alog_append((t, uid, i, d))
+                        port_arrivals[i] += 1
+                        if events:
+                            alog_append((t, uid, i, d))
                 next_arr = arr_c[ai] if ai < n_arr else never
                 next_qc = qchecks[0][0] if qchecks else never
                 next_p4 = next_arr if next_arr < next_qc else next_qc
@@ -1284,34 +1313,57 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         """Apply the window logs: departures, stats, the telemetry stream.
 
         Everything the checked kernel records per cycle is derived here in
-        closed form from the admission logs, *in the order the checked
-        kernel records it* — departure consequences replay in tail
-        order (Welford accumulators and histogram float sums are
-        order-sensitive), occupancy samples in sampling order.
+        closed form from the window logs and the pending deque, *in the
+        order the checked kernel records it* — departure consequences
+        replay in tail order (Welford accumulators are order-sensitive),
+        occupancy samples in sampling order, and with an event channel on,
+        every ARRIVE, drop, wave and DEPART event.
+
+        Metrics settle once per flush, from aggregates: wave, bank, idle
+        and deadline counters from the counter deltas since the last
+        flush, per-port arrivals from the window counts, per-port
+        departures from the ``per_output_delivered`` delta plus the
+        departures before warmup, and the latency histogram with one
+        weighted observation per distinct latency of the ``delay_hist``
+        delta.  Counters are sums, and the latencies are integers, so the
+        histogram's float sum is exact in any order.
         """
         tel = self._tel
+        events = tel and self.telemetry.events.enabled
         stats = self.stats
         warmup = stats.warmup
         w = self._w
         extra = self._extra
         last_done = self.cycle - 1  # tails <= the last executed cycle departed
         pending = self._pending_departures
+        waves = (self.write_waves, self.cut_through_waves,
+                 self.plain_read_waves)
         if tel:
             emit = self.telemetry.events.emit
-            arrival_counts = [0] * self._n
             for t, uid, src, dst in self._arrive_log:
                 emit(t, ARRIVE, uid, src=src, dst=dst)
-                arrival_counts[src] += 1
-            for src, count in enumerate(arrival_counts):
+            port_arrivals = self._port_arrivals
+            for src, count in enumerate(port_arrivals):
                 if count:
                     self._m_arrivals[src].inc(count)
+                    port_arrivals[src] = 0
             # Taxonomy state before this flush's drops land; the per-sample
             # prefix walk below replays it to each sampling instant.
             sample_tax = dict(self._drop_tax)
             for t, uid, src, dst, cause, _arr in self._drop_log:
                 self._emit_drop(t, src, uid, dst, _DROP_CAUSE[cause])
             for t0, kind, uid, src, dst, _arr in self._wave_log:
-                self._emit_wave(t0, _WAVE_KIND[kind], uid, src, dst)
+                emit(t0, _WAVE_KIND[kind], uid, src=src, dst=dst)
+            new_waves = 0
+            for kind, now, before in zip(_WAVE_KIND, waves,
+                                         self._waves_flushed):
+                if now > before:
+                    self._m_waves[kind].inc(now - before)
+                    new_waves += now - before
+            if new_waves:
+                # Each wave chain touches every bank ``quanta`` times.
+                for bank in self._m_bank:
+                    bank.inc(self._quanta * new_waves)
             idle_now = self.idle_cycles
             if idle_now > self._idle_flushed:
                 self._m_idle.inc(idle_now - self._idle_flushed)
@@ -1343,6 +1395,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     series.record(t, occ, free, depths, sample_tax)
         self._idle_flushed = self.idle_cycles
         self._deadline_flushed = self.deadline_overrides
+        self._waves_flushed = waves
         # Departure-bearing waves (READ / WRITE_CT) schedule a completion at
         # tail = t0 + W + wire_delay; admission order == tail order, so one
         # pass over (pending from earlier windows) + (this window's log)
@@ -1376,12 +1429,15 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         dh_total = stats.delay_hist.total
         delivered = stats.delivered
         per_out = stats.per_output_delivered
+        warmup_deps = self._warmup_departures
         while pending and pending[0][0] <= last_done:
             tail, uid, arr, src, dst, t0 = popleft()
             head = t0 + 1 + extra
             if head >= warmup:
                 delivered += 1
                 per_out[dst] += 1
+            elif tel:
+                warmup_deps[dst] += 1
             if uid in unobstructed:
                 remove(uid)
                 staggerless = True
@@ -1418,11 +1474,23 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         sg_min = sg
                     if sg > sg_max:
                         sg_max = sg
-            if tel:
+            if events:
                 emit(tail, DEPART, uid, src=src, dst=dst, aux=head)
-                self._m_departures[dst].inc()
-                if arr >= warmup:
-                    self._m_latency.observe(head - arr)
+        if tel:
+            flushed = self._delivered_flushed
+            for j, counter in enumerate(self._m_departures):
+                count = per_out[j] - flushed[j] + warmup_deps[j]
+                if count:
+                    counter.inc(count)
+                    warmup_deps[j] = 0
+            # ct_hist still holds the delay histogram of the last flush.
+            before = ct_hist.counts
+            observe = self._m_latency.observe
+            for ct, count in dh_counts.items():
+                count -= before.get(ct, 0)
+                if count:
+                    observe(ct, count)
+        self._delivered_flushed = list(per_out)
         stats.delivered = delivered
         delay.count, delay._mean, delay._m2 = dl_n, dl_mean, dl_m2
         delay.minimum, delay.maximum = dl_min, dl_max

@@ -162,13 +162,15 @@ class SwitchTelemetryMixin:
 
     # -- shared emission helpers ----------------------------------------------
     def _emit_wave(self, t: int, kind: str, uid: int, src: int, dst: int) -> None:
-        """Telemetry consequences shared by every wave admission.
+        """Telemetry consequences of one wave admission, for the checked
+        kernel.
 
         Bank access counts are attributed here, at admission — each wave
-        chain touches every bank ``quanta`` times, so the closed form is
-        exact and identical between the checked and batch kernels (the
-        word-level truth of when each bank executes is the WaveTracer's
-        job, not the metrics registry's).
+        chain touches every bank ``quanta`` times (the word-level truth of
+        when each bank executes is the WaveTracer's job, not the metrics
+        registry's).  The batch kernel does not call this: it emits the
+        wave events from its window log and settles the wave and bank
+        counters once per flush, with the same closed form.
         """
         self.telemetry.events.emit(t, kind, uid, src=src, dst=dst)
         self._m_waves[kind].inc()

@@ -125,6 +125,18 @@ def test_snapshot_side_effect_fails_oracle(src_copy, snapshot_py):
     _assert_oracle_fails(src_copy, "fingerprint")
 
 
+def test_unset_wave_flush_marker_fails_oracle(src_copy, snapshot_py):
+    """Restore leaves the batch kernel's wave-flush marker at its default:
+    the next flush would count every wave since cycle 0 again.  The marker
+    has no document key, so only the state comparison catches this."""
+    path, original = snapshot_py
+    line = ("    sw._waves_flushed = (sw.write_waves, sw.cut_through_waves, "
+            "sw.plain_read_waves)\n")
+    assert original.count(line) == 1
+    path.write_text(original.replace(line, ""))
+    _assert_oracle_fails(src_copy, "._waves_flushed")
+
+
 def test_tape_cursor_off_by_one_fails_oracle(src_copy, snapshot_py):
     """Restore drops one handed-out poll too many: the re-drawn tape is one
     poll short."""

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.tracing import WaveTracer
 from repro.sim.packet import reset_packet_ids
-from repro.telemetry import NULL_EVENTS, MetricsRegistry, Telemetry
+from repro.telemetry import NULL_EVENTS, EventLog, MetricsRegistry, Telemetry
 from repro.telemetry.export import (
     chrome_trace_from_events,
     chrome_trace_from_tracer,
@@ -32,25 +32,38 @@ from repro.telemetry.export import (
 
 # The benchmark suite's experiment shapes (benchmarks/record.py): E15 is the
 # paper's drop-tail shared buffer, E13 adds credit flow control.  Renewal
-# rows run on the per-link tape, which both kernels consume.
+# rows run on the per-link tape, which both kernels consume.  The last
+# column holds run options: ``warmup``, and ``cycles`` as a tuple of
+# ``run()`` calls, whose 256-cycle batch windows straddle the cuts.
 MATRIX = [
-    pytest.param(dict(n=8, addresses=128), "renewal", 0.6, 1, True,
+    pytest.param(dict(n=8, addresses=128), "renewal", 0.6, 1, True, {},
                  id="e15-8x8-drop-tail"),
-    pytest.param(dict(n=4, addresses=8), "saturating", 1.0, 3, True,
+    pytest.param(dict(n=4, addresses=8), "saturating", 1.0, 3, True, {},
                  id="e15-4x4-droppy"),
     pytest.param(dict(n=8, addresses=256, credit_flow=True), "renewal",
-                 1.0, 2, False, id="e13-8x8-credits-load1.0"),
+                 1.0, 2, False, {}, id="e13-8x8-credits-load1.0"),
     pytest.param(dict(n=8, addresses=256, credit_flow=True), "renewal",
-                 0.8, 3, False, id="e13-8x8-credits-load0.8"),
+                 0.8, 3, False, {}, id="e13-8x8-credits-load0.8"),
     pytest.param(dict(n=4, addresses=32, quanta=2), "renewal", 0.6, 1, True,
-                 id="multi-quantum"),
+                 {}, id="multi-quantum"),
     pytest.param(dict(n=4, addresses=64, link_pipeline_stages=2), "renewal",
-                 0.6, 1, True, id="wire-pipelined"),
+                 0.6, 1, True, {}, id="wire-pipelined"),
+    # Departures before warmup count on the port counters, not in
+    # stats.delivered; the latency histogram keeps only arrivals after it.
+    pytest.param(dict(n=8, addresses=128), "renewal", 0.9, 4, True,
+                 {"warmup": 400}, id="warmup"),
+    pytest.param(dict(n=4, addresses=32, cut_through=False), "renewal",
+                 0.8, 5, True, {}, id="store-and-forward"),
+    pytest.param(dict(n=8, addresses=128), "renewal", 0.95, 6, True,
+                 {"warmup": 500, "cycles": (300, 333, 1, 866)},
+                 id="split-runs"),
 ]
 
 
 def _run(batch: bool, cfg_kwargs: dict, source: str, load: float, seed: int,
-         drain: bool, cycles: int = 1500, events: bool = True):
+         drain: bool, opts: dict | None = None, events: bool = True):
+    """One run of either kernel; ``opts`` as in :data:`MATRIX`."""
+    opts = opts or {}
     # Both kernels must number packets identically for the streams to be
     # comparable; the checked model draws uids from the global counter.
     reset_packet_ids()
@@ -68,30 +81,34 @@ def _run(batch: bool, cfg_kwargs: dict, source: str, load: float, seed: int,
         sw = BatchPipelinedSwitch(cfg, src, telemetry=tel, batch_cycles=256)
     else:
         sw = PipelinedSwitch(cfg, src, telemetry=tel)
-    sw.run(cycles)
+    sw.warmup = opts.get("warmup", 0)
+    cycles = opts.get("cycles", 1500)
+    for piece in cycles if isinstance(cycles, tuple) else (cycles,):
+        sw.run(piece)
     if drain:
         sw.drain()
     return sw, tel
 
 
 class TestCheckedBatchTelemetry:
-    @pytest.mark.parametrize("cfg_kwargs,source,load,seed,drain", MATRIX)
+    @pytest.mark.parametrize("cfg_kwargs,source,load,seed,drain,opts", MATRIX)
     def test_event_streams_identical(self, cfg_kwargs, source, load, seed,
-                                     drain):
-        _, tel_slow = _run(False, cfg_kwargs, source, load, seed, drain)
-        _, tel_batch = _run(True, cfg_kwargs, source, load, seed, drain)
+                                     drain, opts):
+        _, tel_slow = _run(False, cfg_kwargs, source, load, seed, drain, opts)
+        _, tel_batch = _run(True, cfg_kwargs, source, load, seed, drain, opts)
         assert tel_slow.events.sorted_events() == tel_batch.events.sorted_events()
 
-    @pytest.mark.parametrize("cfg_kwargs,source,load,seed,drain", MATRIX)
+    @pytest.mark.parametrize("cfg_kwargs,source,load,seed,drain,opts", MATRIX)
     def test_aggregations_and_metrics_identical(self, cfg_kwargs, source,
-                                                load, seed, drain):
+                                                load, seed, drain, opts):
         """Both kernels, with the event log on and off, collect the same
-        taxonomy, samples and metrics."""
+        taxonomy, samples and metrics: every counter, and the latency
+        histogram's bucket counts, sum, min and max."""
         views = []
         for events in (True, False):
             for batch in (False, True):
                 _, tel = _run(batch, cfg_kwargs, source, load, seed, drain,
-                              events=events)
+                              opts, events=events)
                 assert tel.events.enabled is events
                 views.append((tel.drop_taxonomy(), tel.samples,
                               tel.metrics.as_dict()))
@@ -101,6 +118,57 @@ class TestCheckedBatchTelemetry:
         """Guard: the droppy matrix row exercises the drop taxonomy."""
         _, tel = _run(True, dict(n=4, addresses=8), "saturating", 1.0, 3, True)
         assert sum(tel.drop_taxonomy().values()) > 0
+
+    @pytest.mark.parametrize("cfg_kwargs,source,load,seed,drain,opts",
+                             [p for p in MATRIX
+                              if p.id in ("warmup", "split-runs")])
+    def test_warmup_rows_depart_before_warmup(self, cfg_kwargs, source, load,
+                                              seed, drain, opts):
+        """Guard: the warmup rows have departures before warmup, which
+        the port counters count and ``stats.delivered`` does not, and
+        latencies of packets that arrived before it, which the histogram
+        leaves out."""
+        sw, tel = _run(True, cfg_kwargs, source, load, seed, drain, opts,
+                       events=False)
+        metrics = tel.metrics.as_dict()
+        departed = sum(v for k, v in metrics.items()
+                       if k.startswith("repro_port_departures_total"))
+        assert departed > sw.stats.delivered > 0
+        latency = metrics["repro_ct_latency_cycles"]
+        assert 0 < latency["total"] < departed
+
+    @pytest.mark.parametrize("events", [False, True],
+                             ids=["metrics-only", "events"])
+    def test_event_logs_only_with_an_event_channel(self, events):
+        """Metrics-only windows build no wave or arrival log, so a long
+        window holds no per-packet record; with an event channel the logs
+        fill in every window and the run's flush empties them."""
+        sizes = []
+
+        def record_sizes(sw):
+            advance = sw._advance_window
+
+            def wrapped(*args, **kwargs):
+                advance(*args, **kwargs)
+                sizes.append((len(sw._wave_log), len(sw._arrive_log)))
+            sw._advance_window = wrapped
+
+        reset_packet_ids()
+        cfg = PipelinedSwitchConfig(n=8, addresses=128)
+        src = BatchRenewalSource(n_out=8, packet_words=cfg.packet_words,
+                                 load=0.8, seed=1)
+        tel = Telemetry(MetricsRegistry(),
+                        EventLog() if events else NULL_EVENTS, 32)
+        sw = BatchPipelinedSwitch(cfg, src, telemetry=tel, batch_cycles=256)
+        record_sizes(sw)
+        sw.run(1500)
+        sw.drain()
+        assert len(sizes) > 6  # one per window, the drain's included
+        if events:
+            assert all(waves and arrivals for waves, arrivals in sizes[:5])
+        else:
+            assert set(sizes) == {(0, 0)}
+        assert not sw._wave_log and not sw._arrive_log
 
     def test_event_counts_match_stats(self):
         sw, tel = _run(True, dict(n=8, addresses=128), "renewal", 0.6, 1, True)
@@ -124,7 +192,7 @@ class TestCheckedBatchTelemetry:
         assert not bare.telemetry.enabled
         assert len(bare.telemetry.events) == 0
         sw, tel = _run(False, dict(n=4, addresses=32), "renewal", 0.6, 1,
-                       False, cycles=1000)
+                       False, {"cycles": 1000})
         assert sw.stats == bare.stats
 
 
