@@ -3,7 +3,8 @@
 The load-bearing property: a sweep's merged results are bit-identical for
 any job count — parallelism must never change the numbers, only the wall
 time.  The E13-style grid below mirrors benchmarks/test_e13_architecture_
-sweep.py at a test-sized horizon.
+sweep.py at a test-sized horizon; ``test_contracts.py`` checks the same
+property over every registry architecture × traffic kind.
 """
 
 import json
