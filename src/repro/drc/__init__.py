@@ -2,9 +2,10 @@
 
 Two halves, one catalog of stable codes:
 
-* **static** (``DRC1xx``) — AST lint rules over the repository source
-  (:mod:`repro.drc.rules`, driven by :func:`repro.drc.linter.run_lint`
-  and the ``repro lint`` CLI);
+* **static** (``DRC1xx``) — per-file AST lint rules over the repository
+  source, plus one cross-file metric-label check (:mod:`repro.drc.rules`,
+  driven by :func:`repro.drc.linter.run_lint` and the ``repro lint``
+  CLI);
 * **runtime** (``DRC2xx``) — the opt-in per-cycle invariant sanitizer
   threaded through the kernels (:mod:`repro.drc.sanitizer`, enabled with
   ``--sanitize``).
@@ -13,8 +14,11 @@ The package namespace exports only the sanitizer, which every kernel
 imports; the lint engine loads on demand from :mod:`repro.drc.linter`,
 so simulating never pays for parsing the rule families.
 
-See ``ARCHITECTURE.md`` §13 for the full rule catalog and the mapping of
-sanitizer invariants to paper sections.
+Registry coverage and RNG provenance are not lint rules: runtime
+contract tests (``tests/scenario/test_contracts.py``) check them over
+every architecture the registry builds.  See ``ARCHITECTURE.md`` §13 for
+the full rule catalog, those contracts, and the mapping of sanitizer
+invariants to paper sections.
 """
 
 from repro.drc.sanitizer import (

@@ -2,16 +2,10 @@
 
 ``run_lint(paths)`` parses every ``.py`` file under the given paths into
 :class:`~repro.drc.rules.LintModule`\\ s, runs the whole rule catalog
-(module-scope rules file by file, then project-scope rules over the whole
-program via :class:`~repro.drc.rules.Project`), drops findings
-suppressed with a ``# drc: disable=<code>`` comment on the offending
-line, and returns the surviving violations sorted by path/line.
-
-A directory containing a ``.drc-skip`` **sentinel** is pruned from
-recursive discovery (the seeded-defect corpus under ``tests/drc/corpus/``
-lints deliberately-broken fixtures; the repo self-lint must not see
-them).  Passing such a directory *explicitly* still lints it — the
-sentinel only prunes recursion from above.
+(module-scope rules file by file, then project-scope rules once over the
+list of every parsed module), drops findings suppressed with a
+``# drc: disable=<code>`` comment on the offending line, and returns the
+surviving violations sorted by path/line.
 
 Suppression syntax (mirrors the familiar lint tools):
 
@@ -33,19 +27,13 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
-from repro.drc.rules import LintModule, Project, Violation, rule_catalog
-
-# Imported for its @register side effects: the RNG-provenance rule family.
-from repro.drc import rng_rules as _rng_rules  # noqa: F401
+from repro.drc.rules import LintModule, Violation, rule_catalog
 
 #: directories never descended into during file discovery
 _SKIP_DIRS = frozenset({
     ".git", ".hg", "__pycache__", ".venv", "venv", "node_modules",
     ".mypy_cache", ".ruff_cache", ".pytest_cache", "build", "dist",
 })
-
-#: a directory containing this file is pruned from recursive discovery
-SKIP_SENTINEL = ".drc-skip"
 
 _SUPPRESS_RE = re.compile(r"#\s*drc:\s*disable(?:=(?P<codes>[A-Z0-9, ]+))?")
 
@@ -65,21 +53,8 @@ def discover_files(paths: Iterable[str | Path], root: Path | None = None) -> lis
             for f in p.rglob("*.py"):
                 if any(part in _SKIP_DIRS for part in f.parts):
                     continue
-                if _below_sentinel(f, p):
-                    continue
                 out.add(f)
     return sorted(out)
-
-
-def _below_sentinel(f: Path, base: Path) -> bool:
-    """True if a ``.drc-skip`` sentinel sits strictly between ``base``
-    (exclusive) and ``f`` — explicitly passed directories still lint."""
-    for d in f.parents:
-        if d == base:
-            return False
-        if (d / SKIP_SENTINEL).is_file():
-            return True
-    return False
 
 
 def parse_suppressions(source: str) -> dict[int, set[str] | None]:
@@ -171,9 +146,8 @@ def run_lint(paths: Iterable[str | Path], root: Path | None = None) -> LintResul
                 else:
                     kept.append(v)
 
-    project = Project(mods)
     for rule in project_rules:
-        for v in rule.check_project(project):
+        for v in rule.check_project(mods):
             if _suppressed(v, suppressions.get(v.path, {})):
                 n_suppressed += 1
             else:

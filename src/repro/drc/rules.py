@@ -11,18 +11,16 @@ discipline that keeps the reproduction trustworthy:
 * **telemetry discipline** (DRC111-DRC112) — metrics are created through
   the :class:`~repro.telemetry.metrics.MetricsRegistry`, and every call
   site of a metric name uses one consistent label set, so exported series
-  merge instead of fragmenting;
-* **scenario-registry coverage** (DRC121-DRC122) — every public switch
-  kernel is reachable through :mod:`repro.scenario.registry` and the
-  registry never references a kernel that does not exist; every admission
-  policy is registered in :data:`repro.policy.POLICIES` and every drop
-  cause appears in the ``DROP_CAUSES`` taxonomy map;
-* **API shape** (DRC131) — every switch model exposes the harness/run
-  interface (the slotted hook trio, ``run`` on the word-level kernels).
+  merge instead of fragmenting.
+
+Whether every architecture is reachable from the scenario registry and
+seed-reproducible is checked at runtime, not here:
+``tests/scenario/test_contracts.py`` runs those contracts over every
+registry architecture × traffic kind.
 
 Rules are *modules in, violations out*: per-module rules get one parsed
-:class:`LintModule`; project rules get the whole collection and can
-cross-reference files.  Suppress a finding on its line with
+:class:`LintModule`; project rules (DRC112) get the list of every parsed
+module and can cross-reference files.  Suppress a finding on its line with
 ``# drc: disable=DRC101`` (comma-separate several codes; a bare
 ``# drc: disable`` silences every rule on that line) — see
 :mod:`repro.drc.linter`.
@@ -32,12 +30,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.drc.graph import ClassInfo, ProjectGraph
 
 #: top-level ``repro`` subpackages whose code must be seed-deterministic
 DETERMINISM_PACKAGES = frozenset({"sim", "core", "switches", "fabric", "network"})
@@ -64,13 +58,6 @@ _REGISTRY_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 
 #: non-label keyword arguments of the registry factories
 _FACTORY_OPTION_KEYWORDS = frozenset({"edges"})
-
-#: word-level kernels that must expose the harness ``run`` interface (DRC131)
-#: and be reachable from the scenario registry (DRC121)
-_WORD_KERNELS = frozenset({
-    "PipelinedSwitch", "BatchPipelinedSwitch",
-    "WideMemorySwitch", "SplitPipelinedBuffer",
-})
 
 
 @dataclass(frozen=True)
@@ -112,28 +99,11 @@ class LintModule:
                    source=source, package=package, in_src=in_src)
 
 
-@dataclass
-class Project:
-    """The whole lint invocation: parsed modules plus the lazily built
-    whole-program graph project rules resolve names through."""
-
-    mods: list[LintModule]
-    _graph: "ProjectGraph | None" = field(default=None, repr=False)
-
-    @property
-    def graph(self) -> "ProjectGraph":
-        if self._graph is None:
-            from repro.drc.graph import ProjectGraph
-
-            self._graph = ProjectGraph(self.mods)
-        return self._graph
-
-
 class Rule:
     """Base class: per-module or project-wide checks (see module doc).
 
     ``scope`` decides where the engine runs the rule ("module" rules run
-    per file; "project" rules run once over the whole collection).
+    per file; "project" rules run once over the list of every module).
     """
 
     code: str = "DRC000"
@@ -144,7 +114,7 @@ class Rule:
     def check_module(self, mod: LintModule) -> Iterator[Violation]:
         return iter(())
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
+    def check_project(self, mods: list[LintModule]) -> Iterator[Violation]:
         return iter(())
 
     def _hit(self, mod: LintModule, node: ast.AST, message: str) -> Violation:
@@ -350,9 +320,9 @@ class LabelConsistencyRule(Rule):
                "keys, or exported series fragment")
     scope = "project"
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
+    def check_project(self, mods: list[LintModule]) -> Iterator[Violation]:
         sites: dict[str, list[_LabelSite]] = {}
-        for mod in project.mods:
+        for mod in mods:
             if not mod.in_src:
                 continue
             for node in ast.walk(mod.tree):
@@ -384,299 +354,3 @@ class LabelConsistencyRule(Rule):
                         f"at {baseline.mod.relpath}:{baseline.node.lineno}; "
                         f"one metric name needs one label set",
                     )
-
-
-def _hierarchy_classes(project: Project, root_name: str,
-                       package: str) -> list["ClassInfo"]:
-    """Exact transitive subclasses (roots included) of every in-src class
-    named ``root_name`` in ``package``, resolved through the graph —
-    restricted to in-src classes defined in that package (the public
-    surface the registry contracts cover)."""
-    graph = project.graph
-    seen: dict[str, "ClassInfo"] = {}
-    for root in graph.classes_named(root_name, package=package):
-        for qname in graph.subclasses_of(root.qname):
-            info = graph.classes[qname]
-            if info.module.in_src and info.module.package == package:
-                seen[qname] = info
-    return sorted(seen.values(), key=lambda c: c.qname)
-
-
-@register
-class RegistryCoverageRule(Rule):
-    code = "DRC121"
-    name = "registry-coverage"
-    summary = ("every public switch kernel is registered in "
-               "repro.scenario.registry, and the registry references only "
-               "kernels that exist")
-    scope = "project"
-
-    @staticmethod
-    def _switches_alias_refs(tree: ast.Module) -> list[ast.Attribute]:
-        """``<alias>.X`` references in scopes where ``<alias>`` is bound by a
-        ``repro.switches`` import (and never rebound to anything else)."""
-        refs: list[ast.Attribute] = []
-        scopes: list[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef] = [tree]
-        scopes.extend(
-            n for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        for scope in scopes:
-            aliases: set[str] = set()
-            body = scope.body
-            for stmt in body:
-                if (isinstance(stmt, ast.ImportFrom) and stmt.module == "repro"
-                        and any(a.name == "switches" for a in stmt.names)):
-                    aliases.update(a.asname or a.name for a in stmt.names
-                                   if a.name == "switches")
-                elif isinstance(stmt, ast.Import):
-                    aliases.update(
-                        a.asname for a in stmt.names
-                        if a.name == "repro.switches" and a.asname
-                    )
-            if not aliases:
-                continue
-            rebound = {
-                t.id
-                for stmt in body
-                for t in ast.walk(stmt)
-                if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
-            }
-            usable = aliases - rebound
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    if (isinstance(node, ast.Attribute)
-                            and isinstance(node.value, ast.Name)
-                            and node.value.id in usable):
-                        refs.append(node)
-        return refs
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        mods = project.mods
-        registry = next(
-            (m for m in mods
-             if m.in_src and m.package == "scenario"
-             and m.path.name == "registry.py"),
-            None,
-        )
-        if registry is None:
-            return  # lint scope does not cover both sides of the contract
-        yield from self._check_word_kernels(project, registry)
-        kernels = {
-            info.name: info
-            for info in _hierarchy_classes(project, "SlottedSwitch", "switches")
-            # the abstract root is the contract, not a registrable kernel
-            if not info.name.startswith("_") and info.name != "SlottedSwitch"
-        }
-        alias_refs = self._switches_alias_refs(registry.tree)
-        referenced = {node.attr for node in alias_refs}
-        for name in sorted(set(kernels) - referenced):
-            info = kernels[name]
-            yield self._hit(
-                info.module, info.node,
-                f"public switch kernel {name} is not reachable from any "
-                f"repro.scenario.registry builder; register it (or prefix "
-                f"the class with '_' if it is internal)",
-            )
-        switches_names = {
-            info.name for info in project.graph.classes.values()
-            if info.module.in_src and info.module.package == "switches"
-        }
-        switches_names.update(
-            fn.name for fn in project.graph.functions.values()
-            if fn.module.in_src and fn.module.package == "switches"
-        )
-        for name in sorted(referenced - switches_names):
-            for node in alias_refs:
-                if node.attr == name:
-                    yield self._hit(
-                        registry, node,
-                        f"registry builder references repro.switches.{name}, "
-                        f"which does not exist",
-                    )
-                    break
-
-    def _check_word_kernels(
-        self, project: Project, registry: LintModule
-    ) -> Iterator[Violation]:
-        """Every word-level kernel (``_WORD_KERNELS``) defined under
-        ``repro.core`` must be reachable from the registry — referenced by
-        name in ``registry.py`` itself or in a ``make_pipelined_switch``
-        factory (the registry builders' front door for the pipelined
-        kernel tiers)."""
-        graph = project.graph
-        core_classes = {
-            info.name: info for info in graph.classes.values()
-            if info.module.in_src and info.module.package == "core"
-        }
-        word_kernels = _WORD_KERNELS & set(core_classes)
-        if not word_kernels:
-            return
-        reachable: set[str] = set()
-        trees: list[ast.AST] = [registry.tree]
-        trees.extend(
-            fn.node for fn in graph.functions.values()
-            if fn.name == "make_pipelined_switch"
-            and fn.module.in_src and fn.module.package == "core"
-        )
-        for tree in trees:
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    reachable.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    reachable.add(node.attr)
-        for name in sorted(word_kernels - reachable):
-            info = core_classes[name]
-            yield self._hit(
-                info.module, info.node,
-                f"word-level kernel {name} is not reachable from "
-                f"repro.scenario.registry (directly or through "
-                f"make_pipelined_switch); register an architecture for it",
-            )
-
-
-@register
-class PolicyCoverageRule(Rule):
-    code = "DRC122"
-    name = "policy-coverage"
-    summary = ("every admission policy implementation is registered in "
-               "repro.policy.POLICIES (so the scenario registry and CLI can "
-               "reach it), and every DROP_* cause constant appears in the "
-               "DROP_CAUSES taxonomy map")
-    scope = "project"
-
-    @staticmethod
-    def _dict_value_names(tree: ast.Module, target: str) -> list[ast.Name]:
-        """Name nodes used as values of the module-level ``target = {...}``."""
-        for node in tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            if (value is not None and isinstance(value, ast.Dict)
-                    and any(isinstance(t, ast.Name) and t.id == target
-                            for t in targets)):
-                return [v for v in value.values if isinstance(v, ast.Name)]
-        return []
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        yield from self._check_policies(project)
-        yield from self._check_drop_causes(project.mods)
-
-    def _check_policies(self, project: Project) -> Iterator[Violation]:
-        mods = project.mods
-        admission = next(
-            (m for m in mods if m.in_src and m.package == "policy"
-             and m.path.name == "admission.py"),
-            None,
-        )
-        if admission is None:
-            return  # lint scope does not cover the policy package
-        policy_classes = {
-            info.name for info in project.graph.classes.values()
-            if info.module.in_src and info.module.package == "policy"
-        }
-        impls = {
-            info.name: info
-            for info in _hierarchy_classes(project, "AdmissionPolicy", "policy")
-        }
-        if not impls:
-            return
-        public = {name for name in impls if not name.startswith("_")}
-        # the protocol root itself is the contract, not an implementation
-        public.discard("AdmissionPolicy")
-        registered_refs = self._dict_value_names(admission.tree, "POLICIES")
-        registered = {node.id for node in registered_refs}
-        for name in sorted(public - registered):
-            info = impls[name]
-            yield self._hit(
-                info.module, info.node,
-                f"admission policy {name} is not registered in "
-                f"repro.policy.POLICIES; the scenario registry and "
-                f"--policy specs cannot reach it (or prefix the class "
-                f"with '_' if it is internal)",
-            )
-        for node in registered_refs:
-            if node.id not in policy_classes:
-                yield self._hit(
-                    admission, node,
-                    f"POLICIES references {node.id}, which is not an "
-                    f"AdmissionPolicy class in the policy package",
-                )
-
-    def _check_drop_causes(self, mods: list[LintModule]) -> Iterator[Violation]:
-        events = next(
-            (m for m in mods if m.in_src and m.package == "telemetry"
-             and m.path.name == "events.py"),
-            None,
-        )
-        if events is None:
-            return
-        causes: dict[str, ast.Assign] = {}
-        taxonomy: set[str] | None = None
-        for node in events.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if "DROP_CAUSES" in names and isinstance(node.value, ast.Tuple):
-                taxonomy = {e.id for e in node.value.elts
-                            if isinstance(e, ast.Name)}
-            else:
-                for name in names:
-                    if (name.startswith("DROP_") and name != "DROP"
-                            and isinstance(node.value, ast.Constant)
-                            and isinstance(node.value.value, str)):
-                        causes[name] = node
-        if taxonomy is None:
-            yield self._hit(
-                events, events.tree,
-                "telemetry/events.py defines no DROP_CAUSES tuple; exporters "
-                "and this lint treat it as the drop-taxonomy map of record",
-            )
-            return
-        for name in sorted(set(causes) - taxonomy):
-            yield self._hit(
-                events, causes[name],
-                f"drop cause {name} is missing from the DROP_CAUSES "
-                f"taxonomy tuple; exporters iterate that map of record",
-            )
-
-
-@register
-class ApiShapeRule(Rule):
-    code = "DRC131"
-    name = "switch-api-shape"
-    summary = ("every switch model exposes the harness interface: the "
-               "slotted hook trio, and run() on the word-level kernels")
-
-    _SLOTTED_HOOKS = ("_admit", "_select_departures", "occupancy")
-    scope = "project"
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        graph = project.graph
-        for info in _hierarchy_classes(project, "SlottedSwitch", "switches"):
-            if info.name == "SlottedSwitch":
-                continue  # the abstract root declares the hooks
-            methods = graph.methods_of(info.qname)
-            missing = [h for h in self._SLOTTED_HOOKS if h not in methods]
-            if missing:
-                yield self._hit(
-                    info.module, info.node,
-                    f"slotted switch {info.name} does not implement "
-                    f"{', '.join(missing)}; the harness drives every "
-                    f"architecture through these hooks",
-                )
-        core_classes = {
-            info.name: info for info in graph.classes.values()
-            if info.module.in_src and info.module.package == "core"
-        }
-        for name in sorted(_WORD_KERNELS & set(core_classes)):
-            info = core_classes[name]
-            if "run" not in graph.methods_of(info.qname):
-                yield self._hit(
-                    info.module, info.node,
-                    f"word-level kernel {name} does not define run(); the "
-                    f"harness and scenario executors require it",
-                )

@@ -226,8 +226,9 @@ class PortReservation(AdmissionPolicy):
 
 #: Registry of every admission policy, keyed by spec kind.  The scenario
 #: layer and the CLI resolve ``--policy`` strings through this table, so a
-#: policy listed here is reachable from every entry point (DRC122 lints
-#: that no implementation is missing from it).
+#: policy listed here is reachable from every entry point
+#: (``tests/scenario/test_contracts.py`` checks that every public
+#: implementation is listed and prepares a cell).
 POLICIES: dict[str, type[AdmissionPolicy]] = {
     "complete": CompleteSharing,
     "static": StaticThreshold,

@@ -16,8 +16,9 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
     """Return a :class:`numpy.random.Generator` for the given seed.
 
     ``None`` maps to the repository-wide default seed (experiments are
-    reproducible by default); an existing generator is passed through so that
-    components can share one stream when a caller wants correlated substreams.
+    reproducible by default); an existing generator is passed through, and
+    its caller hands it to no other component: each generator has exactly
+    one owner (use :func:`spawn` for independent per-component streams).
     """
     if isinstance(seed, np.random.Generator):
         return seed

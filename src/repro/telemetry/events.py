@@ -52,8 +52,8 @@ DROP_POLICY = "policy"
 
 #: The complete drop taxonomy, in canonical display order.  Every
 #: ``DROP_*`` cause constant in this module must appear here — exporters
-#: and the DRC registry-coverage lint (DRC122) treat this tuple as the
-#: map of record.
+#: treat this tuple as the map of record, and
+#: ``tests/scenario/test_contracts.py`` checks the two agree.
 DROP_CAUSES = (
     DROP_HEAD_OVERRUN,
     DROP_QUANTUM_OVERRUN,

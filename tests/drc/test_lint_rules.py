@@ -125,188 +125,6 @@ def test_drc112_same_labels_everywhere_clean(tmp_path):
     assert run_lint(["src"], root=root).violations == []
 
 
-# -- registry coverage and API shape (DRC121, DRC131) -------------------------
-
-_SLOTTED_OK = (
-    "class SlottedSwitch:\n"
-    "    def _admit(self): pass\n"
-    "    def _select_departures(self): pass\n"
-    "    def occupancy(self): pass\n"
-)
-
-
-def test_drc121_unregistered_kernel(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/switches/models.py": (
-            _SLOTTED_OK + "class Orphan(SlottedSwitch):\n    pass\n"
-        ),
-        "src/repro/scenario/registry.py": "REGISTRY = {}\n",
-    })
-    result = run_lint(["src"], root=root)
-    assert any(
-        v.code == "DRC121" and "Orphan" in v.message for v in result.violations
-    )
-
-
-def test_drc121_registry_references_missing_kernel(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/switches/models.py": (
-            _SLOTTED_OK + "class _Internal(SlottedSwitch):\n    pass\n"
-        ),
-        "src/repro/scenario/registry.py": (
-            "from repro import switches as sw\n"
-            "def build(p):\n"
-            "    return sw.GhostKernel(p)\n"
-        ),
-    })
-    result = run_lint(["src"], root=root)
-    assert any(
-        v.code == "DRC121" and "GhostKernel" in v.message
-        for v in result.violations
-    )
-    # the underscore-prefixed class is internal: no unregistered-kernel finding
-    assert not any("_Internal" in v.message for v in result.violations)
-
-
-def test_drc121_word_kernel_not_reachable(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/core/batchpath.py": (
-            "class BatchPipelinedSwitch:\n"
-            "    def run(self): pass\n"
-        ),
-        "src/repro/scenario/registry.py": "REGISTRY = {}\n",
-    })
-    result = run_lint(["src"], root=root)
-    assert any(
-        v.code == "DRC121" and "BatchPipelinedSwitch" in v.message
-        for v in result.violations
-    )
-
-
-def test_drc121_word_kernel_reachable_via_factory_clean(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/core/batchpath.py": (
-            "class BatchPipelinedSwitch:\n"
-            "    def run(self): pass\n"
-            "def make_pipelined_switch(cfg, src, kernel='checked'):\n"
-            "    return BatchPipelinedSwitch(cfg, src)\n"
-        ),
-        "src/repro/scenario/registry.py": "REGISTRY = {}\n",
-    })
-    assert run_lint(["src"], root=root).violations == []
-
-
-# -- policy and drop-taxonomy coverage (DRC122) -------------------------------
-
-_ADMISSION_OK = (
-    "class AdmissionPolicy:\n    pass\n"
-    "class CompleteSharing(AdmissionPolicy):\n    pass\n"
-    "POLICIES = {'complete': CompleteSharing}\n"
-)
-
-_EVENTS_OK = (
-    "DROP_BUFFER_FULL = 'buffer_full'\n"
-    "DROP_POLICY = 'policy'\n"
-    "DROP_CAUSES = (DROP_BUFFER_FULL, DROP_POLICY)\n"
-)
-
-
-def test_drc122_unregistered_policy(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/policy/admission.py": (
-            _ADMISSION_OK + "class Orphan(AdmissionPolicy):\n    pass\n"
-        ),
-    })
-    result = run_lint(["src"], root=root)
-    assert any(
-        v.code == "DRC122" and "Orphan" in v.message for v in result.violations
-    )
-
-
-def test_drc122_underscore_policy_is_internal(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/policy/admission.py": (
-            _ADMISSION_OK + "class _Experimental(AdmissionPolicy):\n    pass\n"
-        ),
-    })
-    assert run_lint(["src"], root=root).violations == []
-
-
-def test_drc122_registry_references_missing_policy(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/policy/admission.py": (
-            "class AdmissionPolicy:\n    pass\n"
-            "class CompleteSharing(AdmissionPolicy):\n    pass\n"
-            "POLICIES = {'complete': CompleteSharing, 'ghost': GhostPolicy}\n"
-        ),
-    })
-    result = run_lint(["src"], root=root)
-    assert any(
-        v.code == "DRC122" and "GhostPolicy" in v.message
-        for v in result.violations
-    )
-
-
-def test_drc122_drop_cause_missing_from_taxonomy(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/telemetry/events.py": (
-            _EVENTS_OK + "DROP_NOVEL = 'novel'\n"
-        ),
-    })
-    result = run_lint(["src"], root=root)
-    assert any(
-        v.code == "DRC122" and "DROP_NOVEL" in v.message
-        for v in result.violations
-    )
-
-
-def test_drc122_missing_taxonomy_tuple(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/telemetry/events.py": "DROP_BUFFER_FULL = 'buffer_full'\n",
-    })
-    result = run_lint(["src"], root=root)
-    assert any(
-        v.code == "DRC122" and "DROP_CAUSES" in v.message
-        for v in result.violations
-    )
-
-
-def test_drc122_clean_tree(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/policy/admission.py": _ADMISSION_OK,
-        "src/repro/telemetry/events.py": _EVENTS_OK,
-    })
-    assert run_lint(["src"], root=root).violations == []
-
-
-def test_drc131_slotted_switch_missing_hooks(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/switches/models.py": (
-            "class SlottedSwitch:\n    pass\n"
-            "class Halfway(SlottedSwitch):\n"
-            "    def _admit(self): pass\n"
-        ),
-    })
-    result = run_lint(["src"], root=root)
-    assert [v.code for v in result.violations] == ["DRC131"]
-    assert "_select_departures" in result.violations[0].message
-
-
-def test_drc131_hooks_inherited_through_chain_clean(tmp_path):
-    root = _tree(tmp_path, {
-        "src/repro/switches/models.py": (
-            _SLOTTED_OK
-            + "class Mid(SlottedSwitch):\n    pass\n"
-            + "class Leaf(Mid):\n    pass\n"
-        ),
-        "src/repro/scenario/registry.py": (
-            "from repro import switches as sw\n"
-            "B = {'mid': sw.Mid, 'leaf': sw.Leaf}\n"
-        ),
-    })
-    assert run_lint(["src"], root=root).violations == []
-
-
 # -- driver behaviour: suppressions, parse errors, formats --------------------
 
 def test_suppression_single_code(tmp_path):
@@ -326,6 +144,18 @@ def test_suppression_wrong_code_does_not_silence(tmp_path):
     })
     result = run_lint(["src"], root=root)
     assert [v.code for v in result.violations] == ["DRC101"]
+
+
+def test_suppression_works_on_project_rules(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/core/a.py": "c = reg.counter('repro_hits_total', link=0)\n",
+        "src/repro/core/b.py": (
+            "c = reg.counter('repro_hits_total', port=1)  # drc: disable=DRC112\n"
+        ),
+    })
+    result = run_lint(["src"], root=root)
+    assert result.violations == []
+    assert result.suppressed == 1
 
 
 def test_suppression_bare_disable_silences_all(tmp_path):
@@ -382,12 +212,16 @@ def test_format_sarif_schema_shape(tmp_path):
     assert loc["region"]["startLine"] == 2
 
 
+#: codes whose contracts moved to tests/scenario/test_contracts.py
+RETIRED_CODES = ("DRC121", "DRC122", "DRC131", "DRC141", "DRC142", "DRC143")
+
+
 def test_rule_catalog_codes_are_stable():
     codes = [rule.code for rule in rule_catalog()]
     assert codes == sorted(codes)
     assert codes == ["DRC101", "DRC102", "DRC103", "DRC104",
-                     "DRC111", "DRC112", "DRC121", "DRC122", "DRC131",
-                     "DRC141", "DRC142", "DRC143"]
+                     "DRC111", "DRC112"]
+    assert not set(RETIRED_CODES) & set(codes)
     assert all(rule.name and rule.summary for rule in rule_catalog())
 
 

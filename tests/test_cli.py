@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -356,8 +358,11 @@ def test_lint_rules_catalog(capsys):
     rc = main(["lint", "--rules"])
     assert rc == 0
     out = capsys.readouterr().out
-    for code in ("DRC101", "DRC104", "DRC112", "DRC121", "DRC131"):
-        assert code in out
+    listed = set(re.findall(r"^(DRC\d+) ", out, flags=re.M))
+    assert listed == {"DRC101", "DRC102", "DRC103", "DRC104",
+                      "DRC111", "DRC112"}
+    for retired in ("DRC121", "DRC122", "DRC131", "DRC141", "DRC142", "DRC143"):
+        assert retired not in out
 
 
 def test_lint_repository_is_clean(capsys):
