@@ -28,10 +28,8 @@ Run a declarative scenario file, or sweep a whole grid across processes::
     python -m repro run examples/scenarios/cut_through.json
     python -m repro sweep examples/scenarios/shootout.json --jobs 4 --out out/
 
-Check the repo against the design rules, or run with the invariant
-sanitizer attached (:mod:`repro.drc`)::
+Run with the invariant sanitizer attached (:mod:`repro.drc`)::
 
-    python -m repro lint src tests
     python -m repro run examples/scenarios/cut_through.json --sanitize
 
 Every command builds its switches through the scenario registry
@@ -690,47 +688,6 @@ def cmd_top(args) -> int:
                    iterations=args.iterations)
 
 
-def _add_lint(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "lint",
-        help="check the repository source against the repro.drc design rules",
-    )
-    p.add_argument("paths", nargs="*", default=["src", "tests"], metavar="PATH",
-                   help="files or directories to lint (default: src tests)")
-    p.add_argument("--format", choices=["text", "json", "sarif"], default="text",
-                   help="report format (default %(default)s; sarif is the "
-                        "2.1.0 schema code-scanning services ingest)")
-    p.add_argument("--output", metavar="FILE", default=None,
-                   help="write the report to FILE instead of stdout")
-    p.add_argument("--rules", action="store_true",
-                   help="print the rule catalog and exit")
-    p.set_defaults(func=cmd_lint)
-
-
-def cmd_lint(args) -> int:
-    from pathlib import Path as _Path
-
-    from repro.drc.linter import FORMATTERS, rule_catalog, run_lint
-
-    if args.rules:
-        print(format_table(
-            ["code", "name", "checks"],
-            [[r.code, r.name, r.summary] for r in rule_catalog()],
-            title="repro.drc rule catalog (suppress with  # drc: disable=<code>)",
-        ))
-        return 0
-    result = run_lint(args.paths, root=_Path.cwd())
-    report = FORMATTERS[args.format](result)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report + "\n")
-        n = len(result.all_findings())
-        print(f"{n} violation{'s' if n != 1 else ''} -> {args.output}")
-    else:
-        print(report)
-    return result.exit_code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -747,7 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run(sub)
     _add_sweep(sub)
     _add_top(sub)
-    _add_lint(sub)
     return parser
 
 

@@ -1,24 +1,15 @@
-"""Design-rule checker for the pipelined-memory reproduction.
+"""Design-rule checks for the pipelined-memory reproduction: the runtime
+invariant sanitizer.
 
-Two halves, one catalog of stable codes:
+The opt-in per-cycle sanitizer (:mod:`repro.drc.sanitizer`, enabled with
+``--sanitize``) threads through the kernels and halts a run on the first
+violated invariant, each with a stable ``DRC2xx`` code.
 
-* **static** (``DRC1xx``) — per-file AST lint rules over the repository
-  source, plus one cross-file metric-label check (:mod:`repro.drc.rules`,
-  driven by :func:`repro.drc.linter.run_lint` and the ``repro lint``
-  CLI);
-* **runtime** (``DRC2xx``) — the opt-in per-cycle invariant sanitizer
-  threaded through the kernels (:mod:`repro.drc.sanitizer`, enabled with
-  ``--sanitize``).
-
-The package namespace exports only the sanitizer, which every kernel
-imports; the lint engine loads on demand from :mod:`repro.drc.linter`,
-so simulating never pays for parsing the rule families.
-
-Registry coverage and RNG provenance are not lint rules: runtime
-contract tests (``tests/scenario/test_contracts.py``) check them over
-every architecture the registry builds.  See ``ARCHITECTURE.md`` §13 for
-the full rule catalog, those contracts, and the mapping of sanitizer
-invariants to paper sections.
+Determinism, registry coverage, RNG provenance and metric discipline are
+not checked here: runtime contract tests
+(``tests/scenario/test_contracts.py``) check them over every architecture
+the registry builds.  See ``ARCHITECTURE.md`` §13 for those contracts and
+the mapping of sanitizer invariants to paper sections.
 """
 
 from repro.drc.sanitizer import (

@@ -1,4 +1,4 @@
-"""Runtime half of the design-rule checker: per-cycle invariant sanitizer.
+"""The design-rule checker: per-cycle invariant sanitizer.
 
 The paper's correctness argument rests on structural invariants that the
 hardware satisfies *by construction* and the simulator satisfies *by

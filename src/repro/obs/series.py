@@ -9,10 +9,9 @@ where the checked and batch kernels' bookkeeping provably coincides.  Each row i
 
 with cumulative drop counts per cause.  Rows are fully deterministic; the
 ring *additionally* keeps a parallel wall-clock stamp per row (taken here,
-outside the determinism-linted kernel tree) so live consumers can derive
-cycles/s.  Wall stamps never enter exported simulation results or
-checkpoint fingerprints — only the optional rate columns of the live
-export views.
+outside the kernel tree) so live consumers can derive cycles/s.  Wall
+stamps never enter exported simulation results or checkpoint
+fingerprints — only the optional rate columns of the live export views.
 
 The ring is bounded (``capacity`` rows, oldest evicted first) so an
 unbounded run cannot grow memory; ``recorded`` counts every row ever

@@ -24,9 +24,9 @@ only the missing ones; the merged output is bit-identical to an
 uninterrupted run (results are deterministic per job, and the merge is
 ordered by submission, not completion).  Every artifact is written
 atomically (:func:`repro.fileio.write_atomic`); a per-job file that still
-does not parse is treated as missing, and one whose recorded ``arch``,
-``horizon``, ``warmup``, ``params`` or ``traffic`` differ from the current
-scenario's is stale: the cell re-runs from a cold start.
+does not parse is treated as missing.  Each per-job file carries the
+cell's :func:`spec_hash` beside the result, and one stamped for another
+spec, or not stamped at all, is stale: the cell re-runs from a cold start.
 
 **Checkpointing.** ``checkpoint_every=k`` snapshots every word-level
 kernel to ``<out_dir>/checkpoints/<name>-seed<seed>.ckpt.json`` each ``k``
@@ -55,7 +55,6 @@ from typing import Any, Iterable, Sequence
 from repro.fileio import write_atomic
 from repro.scenario.registry import (
     WORD,
-    _jsonable,
     execute_prepared,
     prepare,
     prepared_from_switch,
@@ -326,9 +325,9 @@ class ScenarioRunner:
         """The cell's result from an earlier run of the same spec, or None.
 
         A per-cell file that does not parse (torn by a kill mid-write)
-        counts as missing.  One recorded for a different spec under the
-        same name is stale: its checkpoint is deleted too, so the re-run
-        starts cold.
+        counts as missing.  One whose ``spec_hash`` stamp is missing or
+        names another spec is stale: its checkpoint is deleted too, so the
+        re-run starts cold.  The stamp is stripped from a reused result.
         """
         assert self.out_dir is not None
         path = self.out_dir / f"{sc.name}-seed{seed}.json"
@@ -338,14 +337,7 @@ class ScenarioRunner:
             return None
         if not isinstance(result, dict):
             return None
-        want = json.loads(json.dumps(_jsonable({
-            "arch": sc.arch,
-            "horizon": sc.horizon,
-            "warmup": sc.effective_warmup,
-            "params": dict(sc.params),
-            "traffic": sc.traffic.to_dict(),
-        })))
-        if {k: result.get(k) for k in want} != want:
+        if result.pop("spec_hash", None) != spec_hash(sc, seed):
             _checkpoint_path(self.out_dir, sc.name, seed).unlink(missing_ok=True)
             return None
         return result
@@ -434,7 +426,7 @@ class ScenarioRunner:
                     task_results = (_run_task(task, live_cb)
                                     if live_cb is not None
                                     else _run_task(task))
-                    self._record(indices, task_results, results)
+                    self._record(indices, task_results, jobs, results)
             else:
                 workers = min(self.jobs, len(tasks))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -448,7 +440,7 @@ class ScenarioRunner:
                             )
                             for fut in done:
                                 self._record(futures[fut], fut.result(),
-                                             results)
+                                             jobs, results)
                     except BaseException:
                         for fut in futures:
                             fut.cancel()
@@ -464,15 +456,16 @@ class ScenarioRunner:
         self,
         indices: Sequence[int],
         task_results: Sequence[dict[str, Any]],
+        jobs: Sequence[tuple[Scenario, int]],
         results: list[dict[str, Any] | None],
     ) -> None:
         assert len(indices) == len(task_results)
         for i, result in zip(indices, task_results):
             results[i] = result
             if self.out_dir is not None:
-                _write_json(self.out_dir
-                            / f"{result['scenario']}-seed{result['seed']}.json",
-                            result)
+                sc, seed = jobs[i]
+                _write_json(self.out_dir / f"{sc.name}-seed{seed}.json",
+                            {**result, "spec_hash": spec_hash(sc, seed)})
             self._notify("job_finished", result["scenario"], result["seed"],
                          result)
 

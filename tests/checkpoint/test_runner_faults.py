@@ -36,7 +36,8 @@ def test_torn_cell_result_is_rerun_on_resume(tmp_path):
 
     resumed = ScenarioRunner(jobs=1, out_dir=out, resume=True).run(GRID)
     assert resumed == clean
-    assert json.loads(cell.read_text()) == clean[1]
+    assert json.loads(cell.read_text()) == {
+        **clean[1], "spec_hash": runner.spec_hash(GRID[1], 3)}
     assert (json.loads((out / "results.json").read_text())
             == json.loads((tmp_path / "clean" / "results.json").read_text()))
 
@@ -55,6 +56,39 @@ def test_edited_grid_does_not_reuse_stale_cell(tmp_path):
     fresh = ScenarioRunner(jobs=1, out_dir=tmp_path / "fresh").run(edited)
     assert resumed == fresh
     assert resumed[0]["traffic"]["load"] == 0.9
+
+
+@pytest.mark.parametrize("edit", [{"drain": True}, {"telemetry": {"metrics": True}}],
+                         ids=["drain", "telemetry"])
+def test_edited_spec_under_finished_result_reruns(tmp_path, edit):
+    """``drain`` and ``telemetry`` change a result as surely as ``params``
+    do: a finished cell edited in either re-runs."""
+    out = tmp_path / "sweep"
+    old = _scenario("cell", 1200)
+    finished = ScenarioRunner(jobs=1, out_dir=out).run([old])
+
+    edited = [Scenario.from_dict({**old.to_dict(), **edit})]
+    resumed = ScenarioRunner(jobs=1, out_dir=out, resume=True).run(edited)
+    fresh = ScenarioRunner(jobs=1, out_dir=tmp_path / "fresh").run(edited)
+    assert fresh != finished
+    assert resumed == fresh
+
+
+def test_unstamped_cell_result_is_rerun(tmp_path):
+    """A per-cell file with no ``spec_hash`` cannot say which spec made
+    it, so resume re-runs the cell rather than trust it."""
+    clean = ScenarioRunner(jobs=1, out_dir=tmp_path / "clean").run(GRID)
+    out = tmp_path / "sweep"
+    ScenarioRunner(jobs=1, out_dir=out).run(GRID)
+    cell = out / "cell-b-seed3.json"
+    doc = json.loads(cell.read_text())
+    del doc["spec_hash"]
+    doc["stats"]["delivered"] = -1
+    cell.write_text(json.dumps(doc))
+
+    resumed = ScenarioRunner(jobs=1, out_dir=out, resume=True).run(GRID)
+    assert resumed == clean
+    assert json.loads(cell.read_text())["spec_hash"] == runner.spec_hash(GRID[1], 3)
 
 
 def test_edited_grid_discards_stale_mid_run_checkpoint(tmp_path, capsys):

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.scenario import Scenario, ScenarioError, ScenarioRunner
+from repro.scenario.runner import spec_hash
 
 
 def e13_grid() -> list[Scenario]:
@@ -53,10 +54,12 @@ def test_artifacts_written_and_merged(tmp_path):
     results = ScenarioRunner(jobs=2, out_dir=tmp_path).run(scenarios)
     merged = json.loads((tmp_path / "results.json").read_text())
     assert merged == results
+    by_name = {sc.name: sc for sc in scenarios}
     for r in results:
         single = json.loads(
             (tmp_path / f"{r['scenario']}-seed{r['seed']}.json").read_text())
-        assert single == r
+        stamp = spec_hash(by_name[r["scenario"]], r["seed"])
+        assert single == {**r, "spec_hash": stamp}
 
 
 def test_validates_everything_before_running(tmp_path):

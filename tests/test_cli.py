@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import re
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -299,75 +297,6 @@ def test_sweep_parallel_matches_sequential_artifacts(tmp_path):
     par = json.loads((out_par / "results.json").read_text())
     assert seq == par
     assert len(seq) == 4
-
-
-# -- repro lint (the repro.drc static half) -----------------------------------
-
-def _lint_tree(tmp_path, source):
-    bad = tmp_path / "src" / "repro" / "sim" / "clocky.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(source)
-    return bad
-
-
-def test_lint_reports_violation_and_exits_nonzero(tmp_path, capsys, monkeypatch):
-    _lint_tree(tmp_path, "import time\nt = time.time()\n")
-    monkeypatch.chdir(tmp_path)
-    rc = main(["lint", "src"])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "DRC101" in out
-    assert "src/repro/sim/clocky.py:2" in out
-
-
-def test_lint_clean_tree_exits_zero(tmp_path, capsys, monkeypatch):
-    _lint_tree(tmp_path, "x = 1\n")
-    monkeypatch.chdir(tmp_path)
-    rc = main(["lint", "src"])
-    assert rc == 0
-    assert "No violations in 1 file" in capsys.readouterr().out
-
-
-def test_lint_json_and_sarif_formats(tmp_path, capsys, monkeypatch):
-    import json
-
-    _lint_tree(tmp_path, "import time\nt = time.time()\n")
-    monkeypatch.chdir(tmp_path)
-    assert main(["lint", "src", "--format", "json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["violations"][0]["code"] == "DRC101"
-    assert main(["lint", "src", "--format", "sarif"]) == 1
-    sarif = json.loads(capsys.readouterr().out)
-    assert sarif["version"] == "2.1.0"
-    assert sarif["runs"][0]["results"][0]["ruleId"] == "DRC101"
-
-
-def test_lint_output_file(tmp_path, capsys, monkeypatch):
-    import json
-
-    _lint_tree(tmp_path, "import time\nt = time.time()\n")
-    monkeypatch.chdir(tmp_path)
-    report = tmp_path / "drc.sarif"
-    rc = main(["lint", "src", "--format", "sarif", "--output", str(report)])
-    assert rc == 1
-    assert json.loads(report.read_text())["version"] == "2.1.0"
-    assert "1 violation" in capsys.readouterr().out
-
-
-def test_lint_rules_catalog(capsys):
-    rc = main(["lint", "--rules"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    listed = set(re.findall(r"^(DRC\d+) ", out, flags=re.M))
-    assert listed == {"DRC101", "DRC102", "DRC103", "DRC104",
-                      "DRC111", "DRC112"}
-    for retired in ("DRC121", "DRC122", "DRC131", "DRC141", "DRC142", "DRC143"):
-        assert retired not in out
-
-
-def test_lint_repository_is_clean(capsys):
-    """The shipped tree lints clean through the real CLI entry point."""
-    assert main(["lint", "src", "tests"]) == 0
 
 
 # -- --sanitize plumbing through the CLI --------------------------------------
