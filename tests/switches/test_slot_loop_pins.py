@@ -23,6 +23,7 @@ import pytest
 
 from repro.drc import Sanitizer
 from repro.scenario import Scenario, prepare
+from repro.switches import CrosspointQueued
 from repro.telemetry import EventLog, MetricsRegistry, Telemetry
 
 FIXTURE = Path(__file__).parent / "fixtures" / "slot_loop_digests.json"
@@ -51,6 +52,17 @@ def _slotted_doc(scenario):
     prep = prepare(scenario, sanitize=True)
     result = prep.execute()
     return {"result": result, **_channels(prep.telemetry)}
+
+
+def _oldest_first_doc():
+    """Crosspoint queues served oldest-first: the registry builds only
+    round-robin service, so the switch is swapped into a prepared cell."""
+    prep = prepare(_slotted("crosspoint", {"n": 8, "capacity": 2}), sanitize=True)
+    switch = CrosspointQueued(8, 8, capacity=2, service="oldest_first")
+    switch.attach_telemetry(prep.telemetry)
+    switch.attach_sanitizer(prep.sanitizer)
+    prep.switch = switch
+    return {"result": prep.execute(), **_channels(prep.telemetry)}
 
 
 def _fabric_doc():
@@ -89,6 +101,13 @@ CASES = {
     "shared-late-drops": lambda: _slotted_doc(_slotted(
         "shared", {"n": 4, "capacity": 6}, batched=True)),
     "fabric-shared": _fabric_doc,
+    "crosspoint-drops": lambda: _slotted_doc(_slotted(
+        "crosspoint", {"n": 4, "capacity": 2})),
+    "block-drops": lambda: _slotted_doc(_slotted(
+        "block", {"n": 8, "block": 2, "capacity": 4})),
+    "output-late-drops": lambda: _slotted_doc(_slotted(
+        "output", {"n": 4, "capacity": 3}, batched=True)),
+    "crosspoint-oldest-first": _oldest_first_doc,
 }
 
 
@@ -111,6 +130,10 @@ def test_cases_exercise_every_branch():
     voq = _slotted_doc(_slotted("voq", {"n": 8, "scheduler": "pim", "capacity": 4}))
     assert voq["result"]["stats"]["dropped"] > 0  # admission-time drops
     assert len(voq["samples"]) == HORIZON // TELEMETRY["sample_interval"]
+    for case in ("crosspoint-drops", "block-drops", "crosspoint-oldest-first"):
+        assert CASES[case]()["result"]["stats"]["dropped"] > 0, case
+    output = CASES["output-late-drops"]()
+    assert output["drop_taxonomy"].get("buffer_full", 0) > 0, "output late drops"
     fabric = _fabric_doc()
     assert sum(el["drop_taxonomy"].get("buffer_full", 0)
                for el in fabric["elements"]) > 0
