@@ -18,16 +18,13 @@ buffering and arbitration are whatever the element architecture provides.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.sim.stats import Counter, Histogram
 from repro.switches.base import SlottedSwitch
 from repro.traffic.base import TrafficSource
-
-_cell_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -38,7 +35,6 @@ class FabricCell:
     dst: int  # global output port
     created: int  # injection slot
     delivered: int = -1
-    uid: int = field(default_factory=lambda: next(_cell_ids))
 
 
 def perfect_shuffle(pos: int, n: int, k: int) -> int:
@@ -73,6 +69,8 @@ class OmegaFabric:
         self.k = k
         self.stages = stages
         self.n = k**stages
+        # wire p leaves on wire _shuffle[p] of the next rank
+        self._shuffle = [perfect_shuffle(p, self.n, k) for p in range(self.n)]
         self.elements: list[list[SlottedSwitch]] = []
         per_rank = self.n // k
         for _ in range(stages):
@@ -126,7 +124,7 @@ class OmegaFabric:
             cell = FabricCell(src=p, dst=dst, created=self.slot)
             if self.slot >= self.warmup:
                 self.offered += 1
-            wire = perfect_shuffle(p, self.n, self.k)
+            wire = self._shuffle[p]
             if self._rank_inputs[0][wire] is not None:
                 raise AssertionError("rank-0 wire already carries a cell")
             self._rank_inputs[0][wire] = cell
@@ -135,23 +133,22 @@ class OmegaFabric:
         next_inputs: list[list[FabricCell | None]] = [
             [None] * self.n for _ in range(self.stages)
         ]
-        k = self.k
+        k, shuffle, last = self.k, self._shuffle, self.stages - 1
         for s in range(self.stages):
             rank_in = self._rank_inputs[s]
             # rank s routes by the s-th most significant base-k digit of dst
-            div = k ** (self.stages - 1 - s)
+            div = k ** (last - s)
+            local = [c.dst // div % k if c is not None else None for c in rank_in]
             for e, element in enumerate(self.elements[s]):
                 base = e * k
-                cells = rank_in[base:base + k]
-                local = [c.dst // div % k if c is not None else None for c in cells]
-                outs = element.step(local, tags=cells)
+                outs = element.step(local[base:base + k], tags=rank_in[base:base + k])
                 for j, out in enumerate(outs):
                     if out is None:
                         continue
                     cell = out.tag
                     assert isinstance(cell, FabricCell)
                     pos = base + j
-                    if s == self.stages - 1:
+                    if s == last:
                         if pos != cell.dst:
                             self.misrouted += 1
                         delivered[pos] = cell
@@ -163,8 +160,7 @@ class OmegaFabric:
                             self.delay.add(d)
                             self.delay_hist.add(d)
                     else:
-                        wire = perfect_shuffle(pos, self.n, self.k)
-                        next_inputs[s + 1][wire] = cell
+                        next_inputs[s + 1][shuffle[pos]] = cell
         # Rank-0 wires for next slot start empty (arrivals fill them).
         self._rank_inputs = next_inputs
         self.slot += 1

@@ -22,6 +22,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.drc.sanitizer import NULL_SANITIZER, Sanitizer
+from repro.sim import packet
 from repro.sim.packet import Cell
 from repro.sim.stats import SwitchStats
 from repro.telemetry import (
@@ -146,14 +147,20 @@ class SlottedSwitch(ABC):
         if tags is not None and len(tags) != n_in:
             raise ValueError(f"expected {n_in} tag entries, got {len(tags)}")
         slot, stats, tel, san = self.slot, self.stats, self._tel, self._san
-        counted = slot >= stats.warmup  # warmup-gated counters of this slot
+        warmup = stats.warmup
+        counted = slot >= warmup  # warmup-gated counters of this slot
         admit = self._admit
+        # Cells take their uids straight from the global counter, in the
+        # order Cell's default factory would hand them out.
+        ids = packet._packet_ids
         for src, dst in enumerate(dests):
             if dst is None:
                 continue
             if not 0 <= dst < n_out:
                 raise ValueError(f"destination {dst} out of range (n_out={n_out})")
-            cell = Cell(src, dst, slot, -1, None if tags is None else tags[src])
+            uid = ids._next
+            ids._next = uid + 1
+            cell = Cell(src, dst, slot, -1, None if tags is None else tags[src], uid)
             if counted:
                 stats.offered += 1
             if san:
@@ -182,7 +189,10 @@ class SlottedSwitch(ABC):
                 f"{type(self).__name__} returned {len(departures)} departures, "
                 f"expected {n_out}"
             )
-        record_departure = stats.record_departure
+        # SwitchStats.record_departure, inlined: every departure of a
+        # counted slot is delivered; delay stats keep post-warmup arrivals.
+        per_output = stats.per_output_delivered
+        delay_add, hist_add = stats.delay.add, stats.delay_hist.add
         for j, cell in enumerate(departures):
             if cell is None:
                 continue
@@ -193,14 +203,20 @@ class SlottedSwitch(ABC):
             cell.depart_slot = slot
             if san:
                 self.sanitizer.packet_delivered(slot, cell.uid)
-            record_departure(j, cell.arrival_slot, slot)
+            if counted:
+                stats.delivered += 1
+                per_output[j] += 1
+            arrival = cell.arrival_slot
+            if arrival >= warmup:
+                delay_add(slot - arrival)
+                hist_add(slot - arrival)
             if tel:
                 self.telemetry.events.emit(
                     slot, DEPART, cell.uid, src=cell.src, dst=j, aux=slot,
                 )
                 self._m_departures[j].inc()
-                if cell.arrival_slot >= stats.warmup:
-                    self._m_delay.observe(slot - cell.arrival_slot)
+                if arrival >= warmup:
+                    self._m_delay.observe(slot - arrival)
 
         if self.sample_occupancy and counted:
             self._occupancy_samples.append(self.occupancy())
@@ -241,9 +257,11 @@ class SlottedSwitch(ABC):
                 f"arrival matrix must be (slots, {self.n_in}), "
                 f"got shape {arrivals.shape}"
             )
+        rows = arrivals.astype(object)  # Python ints, and None for no cell
+        rows[arrivals < 0] = None
         step = self.step
-        for row in arrivals.tolist():  # nested python ints: fast iteration
-            step([d if d >= 0 else None for d in row])
+        for row in rows.tolist():
+            step(row)
         return self.stats
 
     def run_fast(self, source: TrafficSource, slots: int, chunk: int = 8192) -> SwitchStats:

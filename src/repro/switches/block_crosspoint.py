@@ -21,6 +21,7 @@ import numpy as np
 from repro.sim.packet import Cell
 from repro.sim.rng import make_rng
 from repro.switches.base import SlottedSwitch
+from repro.switches.schedulers import _first_from
 
 
 class BlockCrosspoint(SlottedSwitch):
@@ -60,6 +61,8 @@ class BlockCrosspoint(SlottedSwitch):
         ]
         self._block_occ = [[0] * self.out_blocks for _ in range(self.in_blocks)]
         self._rr = [0] * n_out  # per-output rotating priority over input blocks
+        # request masks: bit bi of _cols[j] <=> block bi holds a cell for j
+        self._cols = [0] * n_out
         self.rng = make_rng(seed)
 
     def _admit(self, cell: Cell) -> bool:
@@ -71,22 +74,24 @@ class BlockCrosspoint(SlottedSwitch):
             return False
         self.queues[bi][bj][cell.dst % self.block].append(cell)
         self._block_occ[bi][bj] += 1
+        self._cols[cell.dst] |= 1 << bi
         return True
 
     def _select_departures(self) -> list[Cell | None]:
         departures: list[Cell | None] = [None] * self.n_out
-        for j in range(self.n_out):
-            bj, jl = j // self.block, j % self.block
-            nonempty = [
-                bi for bi in range(self.in_blocks) if self.queues[bi][bj][jl]
-            ]
-            if not nonempty:
+        queues, occ, cols, rr = self.queues, self._block_occ, self._cols, self._rr
+        block, in_blocks = self.block, self.in_blocks
+        for j, mask in enumerate(cols):
+            if not mask:
                 continue
-            ptr = self._rr[j]
-            winner = min(nonempty, key=lambda bi: (bi - ptr) % self.in_blocks)
-            self._rr[j] = (winner + 1) % self.in_blocks
-            departures[j] = self.queues[winner][bj][jl].popleft()
-            self._block_occ[winner][bj] -= 1
+            bj, jl = divmod(j, block)
+            winner = _first_from(mask, rr[j])
+            rr[j] = (winner + 1) % in_blocks
+            q = queues[winner][bj][jl]
+            departures[j] = q.popleft()
+            if not q:
+                cols[j] = mask & ~(1 << winner)
+            occ[winner][bj] -= 1
         return departures
 
     def occupancy(self) -> int:

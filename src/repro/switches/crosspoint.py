@@ -16,6 +16,7 @@ import numpy as np
 from repro.sim.packet import Cell
 from repro.sim.rng import make_rng
 from repro.switches.base import SlottedSwitch
+from repro.switches.schedulers import _first_from
 
 
 class CrosspointQueued(SlottedSwitch):
@@ -50,6 +51,8 @@ class CrosspointQueued(SlottedSwitch):
             [deque() for _ in range(n_out)] for _ in range(n_in)
         ]
         self._rr = [0] * n_out
+        # request masks: bit i of _cols[j] <=> queues[i][j] nonempty
+        self._cols = [0] * n_out
         self.rng = make_rng(seed)
 
     def _admit(self, cell: Cell) -> bool:
@@ -57,23 +60,29 @@ class CrosspointQueued(SlottedSwitch):
         if self.capacity is not None and len(q) >= self.capacity:
             return False
         q.append(cell)
+        self._cols[cell.dst] |= 1 << cell.src
         return True
 
     def _select_departures(self) -> list[Cell | None]:
         departures: list[Cell | None] = [None] * self.n_out
-        for j in range(self.n_out):
-            nonempty = [i for i in range(self.n_in) if self.queues[i][j]]
-            if not nonempty:
+        queues, cols, rr, n_in = self.queues, self._cols, self._rr, self.n_in
+        round_robin = self.service == "round_robin"
+        for j, mask in enumerate(cols):
+            if not mask:
                 continue
-            if self.service == "round_robin":
-                ptr = self._rr[j]
-                winner = min(nonempty, key=lambda i: (i - ptr) % self.n_in)
-                self._rr[j] = (winner + 1) % self.n_in
+            if round_robin:
+                winner = _first_from(mask, rr[j])
+                rr[j] = (winner + 1) % n_in
             else:
+                # oldest head first; min keeps the lowest input on a tie
                 winner = min(
-                    nonempty, key=lambda i: self.queues[i][j][0].arrival_slot
+                    (i for i in range(n_in) if mask >> i & 1),
+                    key=lambda i: queues[i][j][0].arrival_slot,
                 )
-            departures[j] = self.queues[winner][j].popleft()
+            q = queues[winner][j]
+            departures[j] = q.popleft()
+            if not q:
+                cols[j] = mask & ~(1 << winner)
         return departures
 
     def occupancy(self) -> int:

@@ -62,7 +62,6 @@ class InterleavedSharedBuffer(SlottedSwitch):
         self.queues: list[deque[tuple[Cell, int]]] = [deque() for _ in range(n_out)]
         self.rng = make_rng(seed)
         self._pending: list[Cell] = []
-        self._free_banks: list[int] = list(range(m_banks))  # occ == 0 fast path
         self.read_conflicts = 0  # outputs stalled by same-slot bank conflicts
 
     def _admit(self, cell: Cell) -> bool:

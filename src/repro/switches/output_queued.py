@@ -52,9 +52,9 @@ class OutputQueued(SlottedSwitch):
     def _select_departures(self) -> list[Cell | None]:
         # Randomize same-slot arrival order, then enqueue with capacity check.
         if self._pending:
-            order = self.rng.permutation(len(self._pending))
+            order = self.rng.permutation(len(self._pending)).tolist()
             for k in order:
-                cell = self._pending[int(k)]
+                cell = self._pending[k]
                 q = self.queues[cell.dst]
                 if self.capacity is not None and len(q) >= self.capacity:
                     self._record_late_drop(cell)

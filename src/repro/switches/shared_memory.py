@@ -96,8 +96,11 @@ class SharedBuffer(SlottedSwitch):
                     self.queues[cell.dst].append(cell)
                     self._total += 1
             self._pending = []
-        departures = [q.popleft() if q else None for q in self.queues]
-        self._total -= self.n_out - departures.count(None)
+        departures: list[Cell | None] = [None] * self.n_out
+        for j, q in enumerate(self.queues):
+            if q:
+                departures[j] = q.popleft()
+                self._total -= 1
         return departures
 
     def occupancy(self) -> int:

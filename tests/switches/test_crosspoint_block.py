@@ -1,5 +1,6 @@
 """Tests for crosspoint and block-crosspoint buffering."""
 
+import numpy as np
 import pytest
 
 from repro.switches import BlockCrosspoint, CrosspointQueued, SharedBuffer
@@ -91,3 +92,36 @@ class TestBlockCrosspoint:
         sw = BlockCrosspoint(4, 4, block=2, seed=17)
         stats = sw.run(FixedPermutation([2, 3, 0, 1]), 200)
         assert stats.mean_delay == pytest.approx(0.0)
+
+
+def _crosspoint_queue(sw, i, j):
+    return sw.queues[i][j]
+
+
+def _block_queue(sw, bi, j):
+    return sw.queues[bi][j // sw.block][j % sw.block]
+
+
+@pytest.mark.parametrize("make, queue, rows", [
+    (lambda: CrosspointQueued(6, 6, capacity=2), _crosspoint_queue, 6),
+    (lambda: CrosspointQueued(6, 6, capacity=2, service="oldest_first"),
+     _crosspoint_queue, 6),
+    (lambda: BlockCrosspoint(6, 6, block=2, capacity_per_block=3), _block_queue, 3),
+    (lambda: BlockCrosspoint(6, 6, block=1, capacity_per_block=1), _block_queue, 6),
+], ids=["crosspoint", "oldest-first", "block", "block-1"])
+def test_request_masks_track_nonempty_queues(make, queue, rows):
+    """Bit i of ``_cols[j]`` is set exactly while crosspoint (or block) i
+    holds a cell for output j, after every slot of random finite-buffer
+    traffic, including slots that drop and slots that drain."""
+    sw = make()
+    rng = np.random.default_rng(11)
+    for slot in range(600):
+        load = 1.0 if slot < 400 else 0.2  # overload, then drain
+        dests = [int(d) if rng.random() < load else None
+                 for d in rng.integers(0, 6, size=6)]
+        sw.step(dests)
+        for j in range(6):
+            expect = sum(1 << i for i in range(rows) if queue(sw, i, j))
+            assert sw._cols[j] == expect, (slot, j)
+    assert sw.stats.dropped > 0
+    assert sw.occupancy() < 6  # the light tail drained most queues
